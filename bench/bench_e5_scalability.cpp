@@ -13,7 +13,7 @@
 // cores; Greedy sits in between.
 //
 // The *Threads benchmarks sweep the deterministic parallel execution layer
-// (util::ThreadPool): step-only, decide-only and full-epoch wall time at a
+// (task::Runtime): step-only, decide-only and full-epoch wall time at a
 // fixed core count as a function of thread count. Results are bit-identical
 // across thread counts (tests/threading_test.cpp pins this), so the sweep
 // measures pure speedup. Run with e.g.

@@ -1,17 +1,17 @@
-// Per-kernel microbenchmarks for the four vectorized epoch kernels, with
+// Per-kernel microbenchmarks for the optimized epoch kernels, with
 // machine-readable output: BENCH_kernels.json.
 //
 // Each kernel is timed twice over identical inputs:
-//   baseline  -- the pre-vectorization reference, compiled in this
-//                (default-ISA) translation unit exactly like the original
-//                code was. For the power kernel that is the scalar
-//                PowerModel::core_power_at loop the simulator used before
-//                the batch model existed (two std::exp per core); for the
-//                TD kernel the sequential TdAgent::learn loop; for thermal
-//                and realloc, bench-local verbatim copies of the pre-PR
-//                implementations (nested neighbour vectors / the fused
-//                demand loop).
-//   simd      -- the shipping kernel with vectorization active.
+//   power    baseline -- the per-core PowerModel::core_power_at loop (two
+//                        std::exp per core), which the shipping
+//                        PowerModel still evaluates one core at a time;
+//            simd     -- BatchPowerModel::core_power_into, the batch
+//                        model with its cached exp-v columns (a scalar
+//                        loop: the gain is the cache, not vectorization).
+//   thermal  baseline -- ThermalModel::step with the util force-scalar
+//                        hook on (the scalar Euler substep);
+//            simd     -- the same call with the hook off (the vectorized
+//                        substep, the one kernel with a SIMD variant).
 //
 // Both sides produce bit-identical results (tests/simd_kernel_test.cpp),
 // so the ratio is pure throughput. Timing is best-of-N (min over rounds)
@@ -26,16 +26,14 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "arch/chip_config.hpp"
 #include "arch/mesh.hpp"
 #include "arch/vf_table.hpp"
-#include "core/budget_realloc.hpp"
 #include "power/batch_power.hpp"
 #include "power/power_model.hpp"
-#include "rl/agent.hpp"
-#include "rl/td_batch.hpp"
 #include "thermal/thermal_model.hpp"
 #include "util/simd.hpp"
 
@@ -79,104 +77,6 @@ std::size_t iters_for(std::size_t cores) {
   return std::max<std::size_t>(64, 1000000 / cores);
 }
 
-/// Bench-local copy of the pre-vectorization Euler step: nested
-/// neighbour vectors and per-call stability constants, exactly the
-/// arithmetic (and memory layout) ThermalModel shipped before the
-/// flattened/SIMD kernel.
-class ThermalRef {
- public:
-  ThermalRef(const arch::Mesh& mesh, const arch::ThermalParams& p)
-      : params_(p) {
-    temps_.assign(mesh.size(), p.ambient_c);
-    scratch_.assign(mesh.size(), 0.0);
-    neighbors_.reserve(mesh.size());
-    for (std::size_t i = 0; i < mesh.size(); ++i) {
-      neighbors_.push_back(mesh.neighbors(i));
-    }
-  }
-
-  void step(std::span<const double> power_w, double dt_s) {
-    const double g_max = 1.0 / params_.r_vertical_c_per_w +
-                         4.0 / params_.r_lateral_c_per_w;
-    const double dt_stable = 0.25 * params_.c_tile_j_per_c / g_max;
-    const auto substeps = std::max<std::size_t>(
-        1, static_cast<std::size_t>(std::ceil(dt_s / dt_stable)));
-    const double dt_sub = dt_s / static_cast<double>(substeps);
-    for (std::size_t s = 0; s < substeps; ++s) euler(power_w, dt_sub);
-  }
-
-  double temperature(std::size_t i) const { return temps_[i]; }
-
- private:
-  void euler(std::span<const double> power_w, double dt_s) {
-    for (std::size_t i = 0; i < temps_.size(); ++i) {
-      double flow = power_w[i];
-      flow -= (temps_[i] - params_.ambient_c) / params_.r_vertical_c_per_w;
-      for (std::size_t j : neighbors_[i]) {
-        flow -= (temps_[i] - temps_[j]) / params_.r_lateral_c_per_w;
-      }
-      scratch_[i] = temps_[i] + dt_s * flow / params_.c_tile_j_per_c;
-    }
-    temps_.swap(scratch_);
-  }
-
-  arch::ThermalParams params_;
-  std::vector<double> temps_;
-  std::vector<double> scratch_;
-  std::vector<std::vector<std::size_t>> neighbors_;
-};
-
-/// Bench-local copy of the pre-vectorization budget reallocation (the
-/// fused demand/utility loop plus the exact renormalization), again at
-/// this TU's default ISA.
-void realloc_ref(std::span<const core::CoreDemand> demands,
-                 double chip_budget_w, const core::ReallocConfig& config,
-                 std::span<double> out, std::vector<double>& scratch) {
-  const std::size_t n = demands.size();
-  const double floor_each =
-      config.floor_fraction * chip_budget_w / static_cast<double>(n);
-  scratch.assign(2 * n, 0.0);
-  const std::span<double> demand(scratch.data(), n);
-  const std::span<double> utility(scratch.data() + n, n);
-
-  double demand_sum = 0.0;
-  double utility_sum = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const core::CoreDemand& d = demands[i];
-    const double sens = std::clamp(d.sensitivity, 0.0, 1.0);
-    double headroom = config.saturated_headroom;
-    if (d.can_raise) {
-      headroom = config.idle_headroom +
-                 sens * (config.growth_headroom - config.idle_headroom);
-    }
-    demand[i] = std::max(floor_each, std::max(0.0, d.power_w) * headroom);
-    demand_sum += demand[i];
-    utility[i] = (0.05 + sens * sens) * (d.can_raise ? 1.0 : 0.05);
-    utility_sum += utility[i];
-  }
-
-  if (demand_sum <= chip_budget_w) {
-    const double surplus = chip_budget_w - demand_sum;
-    for (std::size_t i = 0; i < n; ++i) {
-      out[i] = demand[i] + surplus * utility[i] / utility_sum;
-    }
-  } else {
-    double weight_sum = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      weight_sum += demand[i] * (0.15 + utility[i]);
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      const double w = demand[i] * (0.15 + utility[i]);
-      out[i] = std::max(floor_each, chip_budget_w * w / weight_sum);
-    }
-  }
-
-  double sum = 0.0;
-  for (double b : out) sum += b;
-  const double scale = chip_budget_w / sum;
-  for (double& b : out) b *= scale;
-}
-
 // ------------------------------------------------------------- power
 
 Row bench_power(std::size_t n) {
@@ -184,7 +84,7 @@ Row bench_power(std::size_t n) {
   const arch::CoreParams params;
   const std::vector<arch::CoreParams> per_core(n, params);
   const power::BatchPowerModel batch(per_core, table);
-  // Pre-PR layout: one scalar PowerModel per core.
+  // Baseline layout: one scalar PowerModel per core.
   const std::vector<power::PowerModel> scalar_models(
       n, power::PowerModel(params));
 
@@ -221,103 +121,24 @@ Row bench_power(std::size_t n) {
 Row bench_thermal(std::size_t n) {
   const auto side = static_cast<std::size_t>(std::lround(std::sqrt(
       static_cast<double>(n))));
-  const arch::Mesh mesh(side, side);
-  ThermalRef base_model(mesh, arch::ThermalParams{});
-  thermal::ThermalModel simd_model(mesh, arch::ThermalParams{});
-  const std::size_t tiles = simd_model.size();
+  thermal::ThermalModel model(arch::Mesh(side, side), arch::ThermalParams{});
+  const std::size_t tiles = model.size();
   std::vector<double> power(tiles);
   for (std::size_t i = 0; i < tiles; ++i) {
     power[i] = 1.5 + std::sin(static_cast<double>(i)) * 0.5;
   }
-  const double dt = simd_model.dt_stable_s() * 0.9;  // exactly 1 substep
-
-  const std::size_t iters = iters_for(tiles);
-  const double baseline = best_of_ns(iters, [&] {
-    base_model.step(power, dt);
-    g_sink = g_sink + base_model.temperature(0);
-  });
-  const double simd = best_of_ns(iters, [&] {
-    simd_model.step(power, dt);
-    g_sink = g_sink + simd_model.temperature(0);
-  });
-  return {"thermal", tiles, baseline, simd, baseline / simd};
-}
-
-// ----------------------------------------------------------------- td
-
-Row bench_td(std::size_t n) {
-  const std::size_t n_states = 36;
-  const std::size_t n_actions = 3;
-  rl::TdConfig cfg;
-  std::vector<rl::TdAgent> base_agents(n,
-                                       rl::TdAgent(n_states, n_actions, cfg));
-  std::vector<rl::TdAgent> simd_agents(n,
-                                       rl::TdAgent(n_states, n_actions, cfg));
-  std::vector<rl::TdAgent*> agents(n);
-  std::vector<std::size_t> ps(n), pa(n), ns(n);
-  std::vector<double> reward(n);
-  std::vector<double> scratch(3 * n);
-  std::size_t tick = 0;
-  auto roll_inputs = [&] {
-    ++tick;
-    for (std::size_t j = 0; j < n; ++j) {
-      ps[j] = (j + tick) % n_states;
-      pa[j] = (j * 5 + tick) % n_actions;
-      ns[j] = (j + tick + 7) % n_states;
-      reward[j] = 0.1 * static_cast<double>((j + tick) % 11) - 0.5;
-    }
+  const double dt = model.dt_stable_s() * 0.9;  // exactly 1 substep
+  const auto timed_step = [&] {
+    model.step(power, dt);
+    g_sink = g_sink + model.temperature(0);
   };
 
-  const std::size_t iters = iters_for(n);
-  const double baseline = best_of_ns(iters, [&] {
-    roll_inputs();
-    for (std::size_t j = 0; j < n; ++j) {
-      base_agents[j].learn(ps[j], pa[j], reward[j], ns[j]);
-    }
-    g_sink = g_sink + base_agents[0].table().q(ps[0], pa[0]);
-  });
-  tick = 0;
-  const double simd = best_of_ns(iters, [&] {
-    roll_inputs();
-    for (std::size_t j = 0; j < n; ++j) agents[j] = &simd_agents[j];
-    rl::td_update_batch({.agents = agents,
-                         .prev_state = ps,
-                         .prev_action = pa,
-                         .next_state = ns,
-                         .next_action = {},
-                         .reward = reward},
-                        scratch);
-    g_sink = g_sink + simd_agents[0].table().q(ps[0], pa[0]);
-  });
-  return {"td", n, baseline, simd, baseline / simd};
-}
-
-// ------------------------------------------------------------- realloc
-
-Row bench_realloc(std::size_t n) {
-  std::vector<core::CoreDemand> demands(n);
-  double total = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    demands[i].power_w = 0.5 + 0.1 * static_cast<double>(i % 13);
-    demands[i].sensitivity = 0.05 * static_cast<double>(i % 19);
-    demands[i].can_raise = (i % 4) != 0;
-    total += demands[i].power_w;
-  }
-  const core::ReallocConfig cfg;
-  std::vector<double> out(n);
-  std::vector<double> scratch;
-  core::reallocate_budget_into(demands, total * 0.8, cfg, out, scratch);
-
-  const std::size_t iters = iters_for(n);
-  const double baseline = best_of_ns(iters, [&] {
-    realloc_ref(demands, total * 0.8, cfg, out, scratch);
-    g_sink = g_sink + out[0];
-  });
-  const double simd = best_of_ns(iters, [&] {
-    core::reallocate_budget_into(demands, total * 0.8, cfg, out, scratch);
-    g_sink = g_sink + out[0];
-  });
-  return {"realloc", n, baseline, simd, baseline / simd};
+  const std::size_t iters = iters_for(tiles);
+  util::set_simd_force_scalar(true);
+  const double baseline = best_of_ns(iters, timed_step);
+  util::set_simd_force_scalar(false);
+  const double simd = best_of_ns(iters, timed_step);
+  return {"thermal", tiles, baseline, simd, baseline / simd};
 }
 
 int write_json(const std::vector<Row>& rows) {
@@ -333,6 +154,7 @@ int write_json(const std::vector<Row>& rows) {
   std::fprintf(f, "  \"schema_version\": 1,\n");
   std::fprintf(f, "  \"simd_compiled\": %s,\n",
                util::simd_compiled() ? "true" : "false");
+  std::fprintf(f, "  \"cpus\": %u,\n", std::thread::hardware_concurrency());
   std::fprintf(f, "  \"results\": [\n");
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
@@ -356,15 +178,13 @@ int main() {
   if (!util::simd_compiled()) {
     std::fprintf(stderr,
                  "BENCH_kernels: warning: built without native SIMD; "
-                 "speedups will be ~1.0\n");
+                 "the thermal speedup will be ~1.0\n");
   }
   std::vector<Row> rows;
   for (std::size_t cores : {std::size_t{64}, std::size_t{256},
                             std::size_t{1024}}) {
     rows.push_back(bench_power(cores));
     rows.push_back(bench_thermal(cores));
-    rows.push_back(bench_td(cores));
-    rows.push_back(bench_realloc(cores));
   }
   std::printf("%-8s %6s %14s %12s %9s\n", "kernel", "cores", "baseline_ns",
               "simd_ns", "speedup");

@@ -27,148 +27,6 @@ void ReallocConfig::validate() const {
   }
 }
 
-namespace {
-
-/// Per-core demand/utility rule, shared by the scalar variant and the
-/// vectorized variant's remainder tail.
-///
-/// Demand: consumption scaled by a sensitivity-blended headroom factor.
-/// Every unsaturated core gets at least one-level-step headroom; saturated
-/// cores get a guard band only (they cannot grow, and inflated demand from
-/// them would permanently over-subscribe the chip). Squared sensitivity
-/// skews surplus hard toward cores that convert watts into instructions;
-/// saturated cores cannot use surplus at all.
-inline void demand_utility_at(const CoreDemand& d, const ReallocConfig& config,
-                              double floor_each, double& demand_i,
-                              double& utility_i) {
-  const double sens = std::clamp(d.sensitivity, 0.0, 1.0);
-  double headroom = config.saturated_headroom;
-  if (d.can_raise) {
-    headroom = config.idle_headroom +
-               sens * (config.growth_headroom - config.idle_headroom);
-  }
-  demand_i = std::max(floor_each, std::max(0.0, d.power_w) * headroom);
-  utility_i = (0.05 + sens * sens) * (d.can_raise ? 1.0 : 0.05);
-}
-
-/// Original fused-loop algorithm; the reference the vectorized variant is
-/// held bit-identical to (tests/simd_kernel_test.cpp).
-void realloc_scalar(std::span<const CoreDemand> demands, double chip_budget_w,
-                    const ReallocConfig& config, double floor_each,
-                    std::span<double> out, std::span<double> demand,
-                    std::span<double> utility) {
-  const std::size_t n = demands.size();
-  double demand_sum = 0.0;
-  double utility_sum = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    demand_utility_at(demands[i], config, floor_each, demand[i], utility[i]);
-    demand_sum += demand[i];
-    utility_sum += utility[i];
-  }
-
-  if (demand_sum <= chip_budget_w) {
-    // Everyone gets their demand; surplus follows marginal utility.
-    const double surplus = chip_budget_w - demand_sum;
-    for (std::size_t i = 0; i < n; ++i) {
-      out[i] = demand[i] + surplus * utility[i] / utility_sum;
-    }
-  } else {
-    // Over-subscribed: divide by demand weighted with utility, so the cut
-    // falls hardest on the cores that benefit least, subject to per-core
-    // floors. (Floors can push the sum above B; the final renormalization
-    // resolves that -- floors are soft under extreme pressure.)
-    double weight_sum = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      weight_sum += demand[i] * (0.15 + utility[i]);
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      const double w = demand[i] * (0.15 + utility[i]);
-      out[i] = std::max(floor_each, chip_budget_w * w / weight_sum);
-    }
-  }
-}
-
-/// Vectorized variant: same arithmetic restructured as three elementwise
-/// map passes over the demand/utility columns, with every reduction a
-/// scalar fold in index order (util::ordered_sum) -- exactly the addition
-/// sequence the fused loop performs, so the result is bit-identical.
-void realloc_vec(std::span<const CoreDemand> demands, double chip_budget_w,
-                 const ReallocConfig& config, double floor_each,
-                 std::span<double> out, std::span<double> demand,
-                 std::span<double> utility) {
-  using util::vdouble;
-  using util::kSimdLanes;
-  const std::size_t n = demands.size();
-  const vdouble zero(0.0);
-  const vdouble one(1.0);
-  const vdouble floorv(floor_each);
-  const vdouble sat(config.saturated_headroom);
-  const vdouble idle(config.idle_headroom);
-  const vdouble grow_minus_idle(config.growth_headroom -
-                                config.idle_headroom);
-  std::size_t i = 0;
-  for (; i + kSimdLanes <= n; i += kSimdLanes) {
-    const vdouble p([&](auto k) { return demands[i + k].power_w; });
-    const vdouble s([&](auto k) { return demands[i + k].sensitivity; });
-    const vdouble cr(
-        [&](auto k) { return demands[i + k].can_raise ? 1.0 : 0.0; });
-    const auto raisable = cr > vdouble(0.5);
-    const vdouble sens = util::vclamp01(s);
-    const vdouble headroom =
-        util::vselect(raisable, idle + sens * grow_minus_idle, sat);
-    // Selects (not hardware min/max) mirror std::max's exact tie and NaN
-    // semantics, keeping the column bitwise equal to the scalar pass.
-    const vdouble pclip = util::vselect(p > zero, p, zero);
-    const vdouble draw = pclip * headroom;
-    util::vstore(&demand[i], util::vselect(draw > floorv, draw, floorv));
-    const vdouble scale = util::vselect(raisable, one, vdouble(0.05));
-    util::vstore(&utility[i], (vdouble(0.05) + sens * sens) * scale);
-  }
-  for (; i < n; ++i) {
-    demand_utility_at(demands[i], config, floor_each, demand[i], utility[i]);
-  }
-  const double demand_sum = util::ordered_sum(demand);
-  const double utility_sum = util::ordered_sum(utility);
-
-  if (demand_sum <= chip_budget_w) {
-    const double surplus = chip_budget_w - demand_sum;
-    const vdouble sv(surplus);
-    const vdouble usum(utility_sum);
-    for (i = 0; i + kSimdLanes <= n; i += kSimdLanes) {
-      const vdouble d = util::vload(&demand[i]);
-      const vdouble u = util::vload(&utility[i]);
-      util::vstore(&out[i], d + sv * u / usum);
-    }
-    for (; i < n; ++i) {
-      out[i] = demand[i] + surplus * utility[i] / utility_sum;
-    }
-  } else {
-    // Weight pass uses `out` as scratch, then rescales it in place.
-    const vdouble bias(0.15);
-    for (i = 0; i + kSimdLanes <= n; i += kSimdLanes) {
-      const vdouble d = util::vload(&demand[i]);
-      const vdouble u = util::vload(&utility[i]);
-      util::vstore(&out[i], d * (bias + u));
-    }
-    for (; i < n; ++i) {
-      out[i] = demand[i] * (0.15 + utility[i]);
-    }
-    const double weight_sum = util::ordered_sum(out);
-    const vdouble bv(chip_budget_w);
-    const vdouble wsum(weight_sum);
-    for (i = 0; i + kSimdLanes <= n; i += kSimdLanes) {
-      const vdouble w = util::vload(&out[i]);
-      const vdouble share = bv * w / wsum;
-      util::vstore(&out[i], util::vselect(share > floorv, share, floorv));
-    }
-    for (; i < n; ++i) {
-      out[i] = std::max(floor_each, chip_budget_w * out[i] / weight_sum);
-    }
-  }
-}
-
-}  // namespace
-
 void reallocate_budget_into(std::span<const CoreDemand> demands,
                             double chip_budget_w, const ReallocConfig& config,
                             std::span<double> out,
@@ -193,12 +51,47 @@ void reallocate_budget_into(std::span<const CoreDemand> demands,
   const std::span<double> demand(scratch.data(), n);
   const std::span<double> utility(scratch.data() + n, n);
 
-  if (util::simd_active()) {
-    realloc_vec(demands, chip_budget_w, config, floor_each, out, demand,
-                utility);
+  // Demand: consumption scaled by a sensitivity-blended headroom factor.
+  // Every unsaturated core gets at least one-level-step headroom; saturated
+  // cores get a guard band only (they cannot grow, and inflated demand from
+  // them would permanently over-subscribe the chip). Squared sensitivity
+  // skews surplus hard toward cores that convert watts into instructions;
+  // saturated cores cannot use surplus at all.
+  for (std::size_t i = 0; i < n; ++i) {
+    const CoreDemand& d = demands[i];
+    const double sens = std::clamp(d.sensitivity, 0.0, 1.0);
+    double headroom = config.saturated_headroom;
+    if (d.can_raise) {
+      headroom = config.idle_headroom +
+                 sens * (config.growth_headroom - config.idle_headroom);
+    }
+    demand[i] = std::max(floor_each, std::max(0.0, d.power_w) * headroom);
+    utility[i] = (0.05 + sens * sens) * (d.can_raise ? 1.0 : 0.05);
+  }
+  // Sums fold the materialized columns in index order (util::ordered_sum),
+  // so the summation tree is a pure function of the core count.
+  const double demand_sum = util::ordered_sum(demand);
+  const double utility_sum = util::ordered_sum(utility);
+
+  if (demand_sum <= chip_budget_w) {
+    // Everyone gets their demand; surplus follows marginal utility.
+    const double surplus = chip_budget_w - demand_sum;
+    for (std::size_t i = 0; i < n; ++i) {
+      out[i] = demand[i] + surplus * utility[i] / utility_sum;
+    }
   } else {
-    realloc_scalar(demands, chip_budget_w, config, floor_each, out, demand,
-                   utility);
+    // Over-subscribed: divide by demand weighted with utility, so the cut
+    // falls hardest on the cores that benefit least, subject to per-core
+    // floors. (Floors can push the sum above B; the final renormalization
+    // resolves that -- floors are soft under extreme pressure.) The weight
+    // pass uses `out` as scratch, then rescales it in place.
+    for (std::size_t i = 0; i < n; ++i) {
+      out[i] = demand[i] * (0.15 + utility[i]);
+    }
+    const double weight_sum = util::ordered_sum(out);
+    for (std::size_t i = 0; i < n; ++i) {
+      out[i] = std::max(floor_each, chip_budget_w * out[i] / weight_sum);
+    }
   }
 
   // Exact renormalization: floating error (or soft floors) must not leak or

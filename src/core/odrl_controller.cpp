@@ -7,18 +7,15 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
-#include <string_view>
 #include <utility>
 
 #include "rl/qtable_io.hpp"
 #include "snapshot/snapshot.hpp"
 #include "snapshot/state_io.hpp"
-#include "rl/td_batch.hpp"
 #include "sim/controller_registry.hpp"
 #include "sim/validate.hpp"
 #include "telemetry/recorder.hpp"
 #include "util/check.hpp"
-#include "util/simd.hpp"
 
 namespace odrl::core {
 
@@ -105,15 +102,6 @@ OdrlController::OdrlController(const arch::ChipConfig& chip, OdrlConfig config)
   prev_state_.assign(n_cores_, 0);
   prev_action_.assign(n_cores_, 0);
   was_offline_.assign(n_cores_, 0);
-  td_ratio_.assign(n_cores_, 0.0);
-  td_reward_.assign(n_cores_, 0.0);
-  td_agents_.assign(n_cores_, nullptr);
-  td_prev_state_.assign(n_cores_, 0);
-  td_prev_action_.assign(n_cores_, 0);
-  td_next_state_.assign(n_cores_, 0);
-  td_next_action_.assign(n_cores_, 0);
-  td_batch_reward_.assign(n_cores_, 0.0);
-  td_scratch_.assign(3 * n_cores_, 0.0);
   level_freq_ghz_.reserve(n_levels_);
   for (const auto& point : chip.vf_table().points()) {
     level_freq_ghz_.push_back(point.freq_ghz);
@@ -302,18 +290,13 @@ void OdrlController::decide_into(const sim::EpochResult& obs,
   }
 
   // Fine grain: per-core TD step, sharded across the task runtime. Each
-  // core owns
-  // its agent, exploration stream and bookkeeping slots, so the loop is
-  // embarrassingly parallel; the reward sum is reduced over chunk-ordered
-  // partials and stays bit-identical for every thread count. Each chunk
-  // dispatches between the original fused loop and the vectorized
-  // column/batch restructuring -- same results, bit for bit.
-  const bool vec = util::simd_active();
+  // core owns its agent, exploration stream and bookkeeping slots, so the
+  // loop is embarrassingly parallel; the reward sum is reduced over
+  // chunk-ordered partials and stays bit-identical for every thread count.
   const double reward_sum = runtime_->parallel_reduce(
       n_cores_, kTdGrain, 0.0,
       [&](std::size_t begin, std::size_t end) {
-        return vec ? td_chunk_vec(obs, out, begin, end)
-                   : td_chunk_scalar(obs, out, begin, end);
+        return td_chunk(obs, out, begin, end);
       },
       [](double acc, double partial) { return acc + partial; },
       reward_partials_);
@@ -323,9 +306,9 @@ void OdrlController::decide_into(const sim::EpochResult& obs,
   have_prev_ = true;
 }
 
-double OdrlController::td_chunk_scalar(const sim::EpochResult& obs,
-                                       std::span<std::size_t> out,
-                                       std::size_t begin, std::size_t end) {
+double OdrlController::td_chunk(const sim::EpochResult& obs,
+                                std::span<std::size_t> out,
+                                std::size_t begin, std::size_t end) {
   const std::span<const std::size_t> obs_level = obs.cores.level();
   const std::span<const double> obs_power = obs.cores.power_w();
   const std::span<const double> obs_stall = obs.cores.mem_stall_frac();
@@ -362,115 +345,6 @@ double OdrlController::td_chunk_scalar(const sim::EpochResult& obs,
     prev_action_[i] = action;
     was_offline_[i] = 0;
     out[i] = apply_action(obs_level[i], action);
-  }
-  return local_sum;
-}
-
-double OdrlController::td_chunk_vec(const sim::EpochResult& obs,
-                                    std::span<std::size_t> out,
-                                    std::size_t begin, std::size_t end) {
-  const std::span<const std::size_t> obs_level = obs.cores.level();
-  const std::span<const double> obs_power = obs.cores.power_w();
-  const std::span<const double> obs_stall = obs.cores.mem_stall_frac();
-  const std::span<const double> obs_temp = obs.cores.temp_c();
-  const std::span<const std::uint8_t> obs_online = obs.cores.online();
-
-  // Pass 1 -- vectorized reward/ratio columns. Pure elementwise IEEE
-  // arithmetic in exactly reward()'s association order, so every value is
-  // bit-identical to the scalar call; values for offline/ineligible cores
-  // are computed and discarded (cheaper than masking the lanes).
-  {
-    using util::kSimdLanes;
-    using util::vdouble;
-    const vdouble zero(0.0);
-    const vdouble one(1.0);
-    const vdouble two(2.0);
-    const vdouble fmaxv(level_freq_ghz_.back());
-    const vdouble tu(config_.target_utilization);
-    const vdouble kap(config_.kappa);
-    const vdouble lam(config_.lambda);
-    std::size_t i = begin;
-    for (; i + kSimdLanes <= end; i += kSimdLanes) {
-      const vdouble fl(
-          [&](auto k) { return level_freq_ghz_[obs_level[i + k]]; });
-      const vdouble stall = util::vload(&obs_stall[i]);
-      const vdouble s = util::vclamp01(stall);
-      const vdouble r = fmaxv / fl;
-      const vdouble gain = r / ((one - s) + s * r);
-      const vdouble perf = one / gain + kap * fl / fmaxv;
-      const vdouble cap = tu * util::vload(&budgets_[i]);
-      const vdouble p = util::vload(&obs_power[i]);
-      const auto cap_pos = cap > zero;
-      const vdouble penalty =
-          util::vselect(cap_pos && (p > cap), (p - cap) / cap, zero);
-      vdouble thermal = zero;
-      if (config_.thermal_weight > 0.0) {
-        const vdouble t = util::vload(&obs_temp[i]);
-        const vdouble safe(config_.thermal_safe_c);
-        thermal = util::vselect(
-            t > safe,
-            vdouble(config_.thermal_weight) * (t - safe) / vdouble(20.0),
-            zero);
-      }
-      util::vstore(&td_reward_[i], perf - lam * penalty - thermal);
-      util::vstore(&td_ratio_[i], util::vselect(cap_pos, p / cap, two));
-    }
-    for (; i < end; ++i) {
-      const double cap = config_.target_utilization * budgets_[i];
-      td_ratio_[i] = cap > 0.0 ? obs_power[i] / cap : 2.0;
-      td_reward_[i] = reward(obs_power[i], obs_stall[i], obs_level[i],
-                             obs_temp[i], budgets_[i]);
-    }
-  }
-
-  // Pass 2 -- scalar control flow: state encoding, action selection,
-  // bookkeeping, and compaction of the eligible transitions into this
-  // chunk's batch slots. Same per-core order as the fused loop; deferring
-  // each agent's learn() past its act() is legal because an agent's table
-  // is touched at most once per epoch.
-  double local_sum = 0.0;
-  std::size_t count = 0;
-  for (std::size_t i = begin; i < end; ++i) {
-    if (obs_online[i] == 0) {
-      was_offline_[i] = 1;
-      out[i] = obs_level[i];
-      continue;
-    }
-    const std::size_t state =
-        encode_state(td_ratio_[i], obs_stall[i], obs_level[i]);
-    const std::size_t action = agents_[i].act(state, rngs_[i]);
-    if (have_prev_ && was_offline_[i] == 0) {
-      local_sum += td_reward_[i];
-      const std::size_t slot = begin + count;
-      td_agents_[slot] = &agents_[i];
-      td_prev_state_[slot] = prev_state_[i];
-      td_prev_action_[slot] = prev_action_[i];
-      td_next_state_[slot] = state;
-      td_next_action_[slot] = action;
-      td_batch_reward_[slot] = td_reward_[i];
-      ++count;
-    }
-    prev_state_[i] = state;
-    prev_action_[i] = action;
-    was_offline_[i] = 0;
-    out[i] = apply_action(obs_level[i], action);
-  }
-
-  // Pass 3 -- batched TD update over the compacted transitions.
-  if (count > 0) {
-    rl::TdBatchSpans batch;
-    batch.agents = std::span<rl::TdAgent* const>(&td_agents_[begin], count);
-    batch.prev_state =
-        std::span<const std::size_t>(&td_prev_state_[begin], count);
-    batch.prev_action =
-        std::span<const std::size_t>(&td_prev_action_[begin], count);
-    batch.next_state =
-        std::span<const std::size_t>(&td_next_state_[begin], count);
-    batch.next_action =
-        std::span<const std::size_t>(&td_next_action_[begin], count);
-    batch.reward = std::span<const double>(&td_batch_reward_[begin], count);
-    rl::td_update_batch(
-        batch, std::span<double>(&td_scratch_[3 * begin], 3 * count));
   }
   return local_sum;
 }
@@ -595,7 +469,6 @@ void OdrlController::load_state(snapshot::Reader& r) {
 namespace {
 /// The 'POLI' section tag of the policy artifact (warm-start tables).
 constexpr std::uint32_t kPolicySectionTag = snapshot::section_tag("POLI");
-constexpr const char* kLegacyPolicyMagic = "# odrl-policy v1";
 }  // namespace
 
 void OdrlController::save_policy(std::ostream& out) const {
@@ -622,42 +495,19 @@ void OdrlController::load_policy(std::istream& in) {
                                   "load_policy: stream failure");
   }
   const std::string blob = std::move(buf).str();
-  if (blob.size() >= snapshot::kMagic.size() &&
-      std::string_view(blob).substr(0, snapshot::kMagic.size()) ==
-          snapshot::kMagic) {
-    snapshot::Reader r(blob);
-    r.open_section(kPolicySectionTag);
-    const std::uint64_t cores = r.u64();
-    if (cores != n_cores_) {
-      throw snapshot::SnapshotError(
-          snapshot::SnapshotStatus::kDimensionMismatch,
-          "policy is for " + std::to_string(cores) + " cores, controller has " +
-              std::to_string(n_cores_));
-    }
-    for (auto& agent : agents_) {
-      agent.restore_table(rl::load_qtable_payload(r));
-    }
-    r.expect_section_end();
-    return;
-  }
-  // Legacy text artifact: header line, core count, then one legacy text
-  // Q-table block per core.
-  std::istringstream text(blob);
-  std::string line;
-  if (!std::getline(text, line) || line != kLegacyPolicyMagic) {
-    throw snapshot::SnapshotError(snapshot::SnapshotStatus::kBadMagic,
-                                  "OdrlController::load_policy: bad header");
-  }
-  std::size_t cores = 0;
-  if (!(text >> cores) || cores != n_cores_) {
+  snapshot::Reader r(blob);
+  r.open_section(kPolicySectionTag);
+  const std::uint64_t cores = r.u64();
+  if (cores != n_cores_) {
     throw snapshot::SnapshotError(
         snapshot::SnapshotStatus::kDimensionMismatch,
-        "OdrlController::load_policy: core count mismatch");
+        "policy is for " + std::to_string(cores) + " cores, controller has " +
+            std::to_string(n_cores_));
   }
   for (auto& agent : agents_) {
-    text >> std::ws;  // consume the newline left by formatted reads
-    agent.restore_table(rl::load_legacy_qtable_text(text));
+    agent.restore_table(rl::load_qtable_payload(r));
   }
+  r.expect_section_end();
 }
 
 const rl::TdAgent& OdrlController::agent(std::size_t core) const {

@@ -149,8 +149,8 @@ class OdrlController final : public sim::Controller {
   /// warm-started controller skips the cold-start ramp E6 measures.
   void save_policy(std::ostream& out) const;
   /// Restores tables saved by save_policy; core count and table shape must
-  /// match this controller's configuration. Sniffs the binary snapshot
-  /// magic first, then the legacy "# odrl-policy v1" text format.
+  /// match this controller's configuration. Anything but a snapshot frame
+  /// throws snapshot::SnapshotError(kBadMagic).
   void load_policy(std::istream& in);
 
   // -- Introspection (examples, tests, convergence experiment) --
@@ -178,17 +178,10 @@ class OdrlController final : public sim::Controller {
   /// achieved, in (0, 1]: a stationary, counter-derived normalizer.
   double attainment(double mem_stall_frac, std::size_t level) const;
 
-  /// One TD-loop chunk [begin, end): act/learn/bookkeeping for each core,
-  /// returning the chunk's reward partial. The scalar variant is the
-  /// original fused per-core loop; the vectorized variant computes the
-  /// reward/ratio columns with SIMD and batches the TD updates
-  /// (rl/td_batch.hpp), bit-identically -- decide_into dispatches on
-  /// util::simd_active().
-  double td_chunk_scalar(const sim::EpochResult& obs,
-                         std::span<std::size_t> out, std::size_t begin,
-                         std::size_t end);
-  double td_chunk_vec(const sim::EpochResult& obs, std::span<std::size_t> out,
-                      std::size_t begin, std::size_t end);
+  /// One TD-loop chunk [begin, end): the fused per-core act/learn/
+  /// bookkeeping loop, returning the chunk's reward partial.
+  double td_chunk(const sim::EpochResult& obs, std::span<std::size_t> out,
+                  std::size_t begin, std::size_t end);
 
   OdrlConfig config_;
   std::size_t n_cores_;
@@ -212,20 +205,6 @@ class OdrlController final : public sim::Controller {
   std::vector<double> realloc_target_;     ///< reallocation outputs
   std::vector<double> realloc_scratch_;    ///< reallocator internal scratch
   std::vector<double> reward_partials_;    ///< TD-loop reduce partials
-
-  // Vectorized TD-pass scratch, sized to the core count once in the
-  // constructor. The per-core columns (ratio/reward) are indexed by core;
-  // the compact batch slots live inside the owning chunk's [begin, end)
-  // region, so parallel chunks write disjoint ranges.
-  std::vector<double> td_ratio_;               ///< power/cap ratio column
-  std::vector<double> td_reward_;              ///< reward column
-  std::vector<rl::TdAgent*> td_agents_;        ///< compact batch agents
-  std::vector<std::size_t> td_prev_state_;     ///< compact batch (s, a)
-  std::vector<std::size_t> td_prev_action_;
-  std::vector<std::size_t> td_next_state_;     ///< compact batch (s', a')
-  std::vector<std::size_t> td_next_action_;
-  std::vector<double> td_batch_reward_;        ///< compact batch rewards
-  std::vector<double> td_scratch_;             ///< 3n, td_update_batch
 
   // Previous-epoch transition bookkeeping (s, a) per core.
   std::vector<std::size_t> prev_state_;

@@ -6,7 +6,6 @@
 
 #include "power/power_model.hpp"
 #include "util/check.hpp"
-#include "util/simd.hpp"
 
 namespace odrl::power {
 
@@ -42,68 +41,6 @@ BatchPowerModel::BatchPowerModel(std::span<const arch::CoreParams> per_core,
   }
 }
 
-void BatchPowerModel::kernel_scalar(
-    std::size_t begin, std::size_t end, std::span<const std::size_t> level,
-    std::span<const workload::PhaseSample> phases,
-    std::span<const double> temp_c, std::span<double> out_w, double& act_min,
-    double& act_max) const {
-  for (std::size_t i = begin; i < end; ++i) {
-    const std::size_t l = level[i];
-    const double activity = phases[i].activity;
-    act_min = std::min(act_min, activity);
-    act_max = std::max(act_max, activity);
-    const double a = std::clamp(activity, 0.0, 1.0);
-    // Same association order as CoreParams::dynamic_power_w /
-    // leakage_power_w / PowerBreakdown::total_w -- bit-identical by
-    // construction.
-    const double dyn = c_eff_[i] * a * volt_[l] * volt_[l] * freq_[l];
-    const double exp_t =
-        std::exp(leak_t_coeff_[i] * (temp_c[i] - 85.0));
-    const double leak =
-        leak_scale_[i] * volt_[l] * exp_v_[i * n_levels_ + l] * exp_t;
-    out_w[i] = dyn + leak + uncore_[i];
-  }
-}
-
-void BatchPowerModel::kernel_vec(std::size_t begin, std::size_t end,
-                                 std::span<const std::size_t> level,
-                                 std::span<const workload::PhaseSample> phases,
-                                 std::span<const double> temp_c,
-                                 std::span<double> out_w, double& act_min,
-                                 double& act_max) const {
-  using util::vdouble;
-  using util::kSimdLanes;
-  vdouble amin(act_min);
-  vdouble amax(act_max);
-  std::size_t i = begin;
-  for (; i + kSimdLanes <= end; i += kSimdLanes) {
-    const vdouble volts([&](auto k) { return volt_[level[i + k]]; });
-    const vdouble freqs([&](auto k) { return freq_[level[i + k]]; });
-    const vdouble expv(
-        [&](auto k) { return exp_v_[(i + k) * n_levels_ + level[i + k]]; });
-    const vdouble act([&](auto k) { return phases[i + k].activity; });
-    amin = util::vmin(amin, act);
-    amax = util::vmax(amax, act);
-    const vdouble a = util::vclamp01(act);
-    const vdouble c = util::vload(&c_eff_[i]);
-    const vdouble ls = util::vload(&leak_scale_[i]);
-    const vdouble unc = util::vload(&uncore_[i]);
-    // The temperature exponential stays scalar per element: a vectorized
-    // exp would not be bit-compatible with libm's.
-    alignas(util::kSimdAlign) double et[kSimdLanes];
-    for (std::size_t k = 0; k < kSimdLanes; ++k) {
-      et[k] = std::exp(leak_t_coeff_[i + k] * (temp_c[i + k] - 85.0));
-    }
-    const vdouble expt = util::vload(et);
-    const vdouble dyn = c * a * volts * volts * freqs;
-    const vdouble leak = ls * volts * expv * expt;
-    util::vstore(&out_w[i], dyn + leak + unc);
-  }
-  act_min = std::min(act_min, util::vreduce_min(amin));
-  act_max = std::max(act_max, util::vreduce_max(amax));
-  kernel_scalar(i, end, level, phases, temp_c, out_w, act_min, act_max);
-}
-
 void BatchPowerModel::core_power_into(
     std::size_t begin, std::size_t end, std::span<const std::size_t> level,
     std::span<const workload::PhaseSample> phases,
@@ -115,16 +52,26 @@ void BatchPowerModel::core_power_into(
       out_w.size() < end) {
     throw std::invalid_argument("BatchPowerModel: input span too short");
   }
-  // The range check is hoisted out of the per-element path: the kernels
-  // track min/max activity and one verdict is rendered per call, with the
+  // The range check is hoisted out of the per-element path: the loop
+  // tracks min/max activity and one verdict is rendered per call, with the
   // same semantics as PowerModel::core_power_at (hard contract when
   // checked, tolerance clamp in release, throw beyond the tolerance).
   double act_min = 0.0;
   double act_max = 1.0;
-  if (util::simd_active()) {
-    kernel_vec(begin, end, level, phases, temp_c, out_w, act_min, act_max);
-  } else {
-    kernel_scalar(begin, end, level, phases, temp_c, out_w, act_min, act_max);
+  for (std::size_t i = begin; i < end; ++i) {
+    const std::size_t l = level[i];
+    const double activity = phases[i].activity;
+    act_min = std::min(act_min, activity);
+    act_max = std::max(act_max, activity);
+    const double a = std::clamp(activity, 0.0, 1.0);
+    // Same association order as CoreParams::dynamic_power_w /
+    // leakage_power_w / PowerBreakdown::total_w -- bit-identical by
+    // construction.
+    const double dyn = c_eff_[i] * a * volt_[l] * volt_[l] * freq_[l];
+    const double exp_t = std::exp(leak_t_coeff_[i] * (temp_c[i] - 85.0));
+    const double leak =
+        leak_scale_[i] * volt_[l] * exp_v_[i * n_levels_ + l] * exp_t;
+    out_w[i] = dyn + leak + uncore_[i];
   }
   ODRL_CHECK(act_min >= 0.0 && act_max <= 1.0,
              "BatchPowerModel: activity must be in [0, 1]");

@@ -1,4 +1,4 @@
-// Batch (SoA, vectorized) evaluation of the per-core power model.
+// Batch (SoA) evaluation of the per-core power model.
 //
 // The simulator's epoch loop evaluates core power for every core every
 // epoch -- with the scalar PowerModel that is two std::exp calls per core
@@ -13,15 +13,15 @@
 //    (core, level) at construction with the *same* std::exp call the
 //    scalar model makes -- identical bits, and the hot path drops from two
 //    exponentials per core to one;
-//  * everything else is elementwise IEEE arithmetic, vectorized with
-//    util/simd.hpp; the remaining temperature exponential stays scalar per
-//    element (vectorized exp is not bit-compatible with libm).
+//  * everything else is the scalar model's IEEE arithmetic in the same
+//    association order. (A hand-vectorized variant was measured at
+//    0.80-1.22x of this loop and removed: the libm exp per core dominates.)
 //
 // core_power_into() is bit-identical to looping
 // PowerModel::core_power_at(vf[level], activity, temp).total_w(), including
-// the activity tolerance-clamp semantics (see power_model.hpp), for both
-// the scalar and vectorized variants -- tests/simd_kernel_test.cpp pins
-// this, and the golden digests pin it end to end.
+// the activity tolerance-clamp semantics (see power_model.hpp) --
+// tests/simd_kernel_test.cpp pins this, and the golden digests pin it end
+// to end.
 #pragma once
 
 #include <cstddef>
@@ -57,17 +57,6 @@ class BatchPowerModel {
   std::size_t n_levels() const noexcept { return n_levels_; }
 
  private:
-  void kernel_scalar(std::size_t begin, std::size_t end,
-                     std::span<const std::size_t> level,
-                     std::span<const workload::PhaseSample> phases,
-                     std::span<const double> temp_c, std::span<double> out_w,
-                     double& act_min, double& act_max) const;
-  void kernel_vec(std::size_t begin, std::size_t end,
-                  std::span<const std::size_t> level,
-                  std::span<const workload::PhaseSample> phases,
-                  std::span<const double> temp_c, std::span<double> out_w,
-                  double& act_min, double& act_max) const;
-
   std::size_t n_cores_ = 0;
   std::size_t n_levels_ = 0;
   // Per-level operating point columns.

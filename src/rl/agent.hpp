@@ -6,7 +6,6 @@
 
 #include <cstddef>
 #include <optional>
-#include <span>
 
 #include "rl/qtable.hpp"
 #include "rl/schedule.hpp"
@@ -18,9 +17,6 @@ class Reader;
 }  // namespace odrl::snapshot
 
 namespace odrl::rl {
-
-struct TdBatchSpans;
-void td_update_batch(const TdBatchSpans& batch, std::span<double> scratch);
 
 enum class TdRule { kQLearning, kSarsa };
 
@@ -73,11 +69,6 @@ class TdAgent {
   void load_state(snapshot::Reader& r);
 
  private:
-  /// The batched TD kernel (rl/td_batch.hpp) phases this agent's learn()
-  /// across many agents; it needs the same member access learn() has.
-  friend void td_update_batch(const TdBatchSpans& batch,
-                              std::span<double> scratch);
-
   TdConfig config_;
   QTable table_;
   EpsilonSchedule epsilon_;

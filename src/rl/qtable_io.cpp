@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <fstream>
-#include <limits>
 #include <sstream>
 #include <string>
 
@@ -12,8 +11,6 @@ using snapshot::SnapshotError;
 using snapshot::SnapshotStatus;
 
 namespace {
-constexpr const char* kLegacyMagic = "# odrl-qtable v1";
-
 void check_dims(std::uint64_t n_states, std::uint64_t n_actions) {
   if (n_states == 0 || n_actions == 0) {
     throw SnapshotError(SnapshotStatus::kBadValue,
@@ -29,66 +26,6 @@ void check_dims(std::uint64_t n_states, std::uint64_t n_actions) {
 }
 
 }  // namespace
-
-/// The pre-snapshot text format, kept readable behind the format sniff.
-QTable load_legacy_qtable_text(std::istream& in) {
-  std::string line;
-  if (!std::getline(in, line) || line != kLegacyMagic) {
-    throw SnapshotError(SnapshotStatus::kBadMagic,
-                        "missing qtable magic header");
-  }
-  std::size_t n_states = 0;
-  std::size_t n_actions = 0;
-  if (!(in >> n_states >> n_actions)) {
-    throw SnapshotError(in.eof() ? SnapshotStatus::kTruncated
-                                 : SnapshotStatus::kBadValue,
-                        "bad qtable dimensions line");
-  }
-  check_dims(n_states, n_actions);
-  QTable table(n_states, n_actions);
-  for (std::size_t s = 0; s < n_states; ++s) {
-    std::string tag;
-    if (!(in >> tag) || tag != "q") {
-      throw SnapshotError(in.eof() ? SnapshotStatus::kTruncated
-                                   : SnapshotStatus::kBadValue,
-                          "expected q row for state " + std::to_string(s));
-    }
-    for (std::size_t a = 0; a < n_actions; ++a) {
-      double q = 0.0;
-      if (!(in >> q)) {
-        throw SnapshotError(in.eof() ? SnapshotStatus::kTruncated
-                                     : SnapshotStatus::kBadValue,
-                            "truncated q row");
-      }
-      // A NaN/inf action value would poison every TD bootstrap that reads
-      // it (the same invariant QTable::all_finite guards on the hot path),
-      // so a corrupt policy file must be rejected at the door.
-      if (!std::isfinite(q)) {
-        throw SnapshotError(SnapshotStatus::kNonFinite,
-                            "non-finite q value in state " +
-                                std::to_string(s));
-      }
-      table.set_q(s, a, q);
-    }
-    if (!(in >> tag) || tag != "v") {
-      throw SnapshotError(in.eof() ? SnapshotStatus::kTruncated
-                                   : SnapshotStatus::kBadValue,
-                          "expected v row for state " + std::to_string(s));
-    }
-    for (std::size_t a = 0; a < n_actions; ++a) {
-      long long visits = 0;
-      if (!(in >> visits) || visits < 0 ||
-          visits > std::numeric_limits<std::uint32_t>::max()) {
-        throw SnapshotError(in.eof() && visits == 0
-                                ? SnapshotStatus::kTruncated
-                                : SnapshotStatus::kBadValue,
-                            "bad visit count");
-      }
-      table.set_visits(s, a, static_cast<std::uint32_t>(visits));
-    }
-  }
-  return table;
-}
 
 void save_qtable_payload(snapshot::Writer& w, const QTable& table) {
   w.u64(table.n_states());
@@ -151,18 +88,11 @@ QTable load_qtable(std::istream& in) {
                         "load_qtable: stream failure");
   }
   const std::string blob = std::move(buf).str();
-  if (blob.size() >= snapshot::kMagic.size() &&
-      std::string_view(blob).substr(0, snapshot::kMagic.size()) ==
-          snapshot::kMagic) {
-    snapshot::Reader r(blob);
-    r.open_section(kQtableSectionTag);
-    QTable table = load_qtable_payload(r);
-    r.expect_section_end();
-    return table;
-  }
-  // Legacy text artifact (or garbage -- the text path rejects that too).
-  std::istringstream text(blob);
-  return load_legacy_qtable_text(text);
+  snapshot::Reader r(blob);
+  r.open_section(kQtableSectionTag);
+  QTable table = load_qtable_payload(r);
+  r.expect_section_end();
+  return table;
 }
 
 void save_qtable_file(const QTable& table, const std::string& path) {

@@ -8,9 +8,8 @@
 // Since snapshot format v1 the on-disk artifact is a single-section binary
 // snapshot (magic ODRLSNAP, one 'QTAB' section: dimensions, Q-values,
 // visit counts; see snapshot/snapshot.hpp for framing and the versioning
-// policy). The previous line-oriented text format ("# odrl-qtable v1") is
-// still *read* behind a format sniff so existing corpora and policy files
-// keep loading; it is no longer written.
+// policy). It is the only format read: any other bytes are rejected with
+// kBadMagic.
 //
 // All failure paths throw snapshot::SnapshotError carrying a
 // SnapshotStatus code -- the same taxonomy the snapshot Reader and the
@@ -48,15 +47,9 @@ QTable load_qtable_payload(snapshot::Reader& r);
 /// Writes the table as a standalone single-section snapshot blob.
 void save_qtable(const QTable& table, std::ostream& out);
 
-/// Reads a table: sniffs the binary snapshot magic first, then the legacy
-/// text header. Throws snapshot::SnapshotError on malformed input.
-/// Consumes the whole stream (the binary sniff needs the full frame).
+/// Reads a table written by save_qtable. Throws snapshot::SnapshotError on
+/// malformed input. Consumes the whole stream (the frame is checksummed).
 QTable load_qtable(std::istream& in);
-
-/// Incremental legacy-text reader: consumes exactly one "# odrl-qtable v1"
-/// block and leaves the stream positioned after it. Used by sniffers that
-/// parse concatenated legacy tables (old OD-RL policy files).
-QTable load_legacy_qtable_text(std::istream& in);
 
 /// Convenience file wrappers.
 void save_qtable_file(const QTable& table, const std::string& path);

@@ -8,11 +8,8 @@
 //      epoch into the caller's output buffer (decide_into).
 // decide_into() is the timed hot path for the scalability experiment (E5):
 // its cost as a function of core count is a first-class result of the
-// paper, so it must not allocate in steady state. It is the *only*
-// decision entry point -- the legacy vector-returning decide() bridge was
-// retired (see DESIGN.md "Epoch data path"); a non-virtual [[deprecated]]
-// shim remains so old call sites still compile, but overriding it no
-// longer does anything and tools/lint_odrl.py rejects new uses.
+// paper, so it must not allocate in steady state. It is the only decision
+// entry point.
 #pragma once
 
 #include <cstddef>
@@ -53,18 +50,6 @@ class Controller {
   /// warmed up.
   virtual void decide_into(const EpochResult& obs,
                            std::span<std::size_t> out) = 0;
-
-  /// \deprecated Allocating convenience shim over decide_into(), kept so
-  /// out-of-tree call sites keep compiling. Deliberately non-virtual: a
-  /// controller that used to override decide() now fails to compile (its
-  /// `override` no longer matches), which surfaces the migration instead
-  /// of silently never calling the override. New code uses decide_into().
-  [[deprecated("override/call decide_into() instead")]]
-  std::vector<std::size_t> decide(const EpochResult& obs) {
-    std::vector<std::size_t> out(obs.n_cores(), 0);
-    decide_into(obs, out);
-    return out;
-  }
 
   /// Notifies the controller that the chip budget changed (power-cap event,
   /// e.g. a rack-level RAPL reduction). Default: ignore.

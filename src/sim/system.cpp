@@ -356,12 +356,6 @@ void ManyCoreSystem::step_into(std::span<const std::size_t> levels,
           (faults_ != nullptr && faults_->any_sensor_fault())));
 }
 
-EpochResult ManyCoreSystem::step(std::span<const std::size_t> levels) {
-  EpochResult result;
-  step_into(levels, result);
-  return result;
-}
-
 const perf::PerfModel& ManyCoreSystem::perf_model(std::size_t core) const {
   if (core >= perf_.size()) {
     throw std::out_of_range("ManyCoreSystem::perf_model: core out of range");

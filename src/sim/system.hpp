@@ -90,12 +90,6 @@ class ManyCoreSystem {
   /// EpochResult each epoch performs zero steady-state heap allocations.
   void step_into(std::span<const std::size_t> levels, EpochResult& out);
 
-  /// \deprecated Allocating convenience wrapper around step_into();
-  /// returns a fresh EpochResult per call. Kept for out-of-tree callers;
-  /// in-tree code uses step_into().
-  [[deprecated("use step_into() instead")]]
-  EpochResult step(std::span<const std::size_t> levels);
-
   /// Snapshot hooks (see snapshot/snapshot.hpp): serialize/restore every
   /// mutable field of the simulated machine -- epoch counter, budget,
   /// switch-cost cache, thermal field, sensor-noise RNG streams and the

@@ -24,8 +24,8 @@
 // -Wthread-safety -Werror) and the ODRL_CHECKED lock-rank checker aborts
 // on any out-of-order acquisition (util/lock_rank.hpp rank table).
 //
-// Determinism contract (inherited verbatim from the retired fork-join
-// util::ThreadPool, pinned by tests/threading_test.cpp + golden suite):
+// Determinism contract (pinned by tests/task_test.cpp,
+// tests/threading_test.cpp and the golden suite):
 // parallel_for/parallel_reduce partition [0, n) into chunks whose
 // boundaries are a pure function of (n, grain) -- never of worker count
 // or of which worker claims which chunk. Reductions store one partial
@@ -49,8 +49,8 @@
 
 namespace odrl::task {
 
-/// Construction knobs. The defaults match the retired ThreadPool: width 1
-/// (inline execution, no spawned threads), no pinning.
+/// Construction knobs. The defaults are width 1 (inline execution, no
+/// spawned threads) and no pinning.
 struct RuntimeConfig {
   /// Total execution width including the calling thread; the runtime
   /// spawns `workers - 1` threads. 0 means hardware_concurrency.

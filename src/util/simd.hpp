@@ -1,28 +1,26 @@
-// Fixed-width SIMD abstraction for the epoch hot-path kernels.
+// Fixed-width SIMD abstraction for the one vectorized epoch kernel.
 //
-// The four vectorized kernels (batch power, thermal Euler substep, the
-// OD-RL TD/reward pass, budget reallocation) are written against `vdouble`,
-// a fixed-lane pack of doubles. With ODRL_SIMD=ON (the default) and a GCC
-// toolchain, vdouble is std::experimental::native_simd<double>; everywhere
-// else (ODRL_SIMD=OFF, or a compiler without a working <experimental/simd>)
-// it degrades to a one-lane struct with identical semantics, so the kernel
-// code compiles -- and produces bit-identical results -- in every
-// configuration.
+// The thermal Euler substep (thermal/thermal_model.cpp) is written against
+// `vdouble`, a fixed-lane pack of doubles. With ODRL_SIMD=ON (the default)
+// and a GCC toolchain, vdouble is std::experimental::native_simd<double>;
+// everywhere else (ODRL_SIMD=OFF, or a compiler without a working
+// <experimental/simd>) it degrades to a one-lane struct with identical
+// semantics, so the kernel compiles -- and produces bit-identical results
+// -- in every configuration. The other hot-path kernels (batch power, the
+// OD-RL TD pass, budget reallocation) are scalar: their hand-vectorized
+// variants measured 0.8-1.2x of the scalar loops and were removed (see
+// DESIGN.md "Vectorized kernels").
 //
-// Determinism contract (DESIGN.md "Vectorized kernels"): kernels may only
-// vectorize *elementwise* IEEE-754 arithmetic (+, -, *, /, min, max,
-// select), which is bit-identical per lane to the scalar operation
-// sequence. Transcendentals (std::exp) stay scalar per element, and every
-// reduction is a vectorized map into a column followed by a scalar fold in
-// canonical index order (ordered_sum) -- never a lane-order or thread-order
-// dependent tree. That is what keeps the golden digests and the
-// threading/SIMD bit-identity tests byte-stable across lane widths, thread
-// counts and ODRL_SIMD ON/OFF.
+// Determinism contract: a vectorized kernel may only vectorize
+// *elementwise* IEEE-754 arithmetic (+, -, *, /), which is bit-identical
+// per lane to the scalar operation sequence. Transcendentals stay scalar
+// per element, and every reduction is a scalar fold in canonical index
+// order (ordered_sum) -- never a lane-order or thread-order dependent tree.
+// That is what keeps the golden digests byte-stable across lane widths,
+// thread counts and ODRL_SIMD ON/OFF.
 //
 // Alignment: all loads/stores are element_aligned (valid at any address),
-// so kernels read the SoA columns in place with no overalignment demands;
-// kernel-owned scratch may additionally use kSimdAlign for cache-line
-// friendliness, but correctness never depends on it.
+// so the kernel reads its columns in place with no overalignment demands.
 #pragma once
 
 #include <cstddef>
@@ -38,13 +36,9 @@
 
 namespace odrl::util {
 
-/// Preferred alignment for kernel-owned scratch columns (a cache line;
-/// generous for any vector ISA in play). Purely a performance hint.
-inline constexpr std::size_t kSimdAlign = 64;
-
-/// Test hook: force every dual-variant kernel down its scalar path at
-/// runtime, so one binary can compare the scalar and vectorized kernels
-/// bit for bit (tests/simd_kernel_test.cpp). Not thread-safe against
+/// Test hook: force the vectorized kernel down its scalar path at runtime,
+/// so one binary can compare the two variants bit for bit
+/// (tests/simd_kernel_test.cpp). Not thread-safe against
 /// concurrent kernel launches -- flip it only between epochs/tests.
 void set_simd_force_scalar(bool force) noexcept;
 bool simd_force_scalar() noexcept;
@@ -52,15 +46,15 @@ bool simd_force_scalar() noexcept;
 /// True when the library was compiled with the native SIMD path.
 bool simd_compiled() noexcept;
 
-/// Dispatch predicate used by every dual-variant kernel: take the
-/// vectorized path only when it was compiled in and tests have not forced
-/// the scalar one.
+/// Dispatch predicate of the vectorized kernel (ThermalModel::step): take
+/// the vectorized path only when it was compiled in and tests have not
+/// forced the scalar one.
 bool simd_active() noexcept;
 
 /// Canonical deterministic reduction: a sequential fold in index order,
-/// starting from 0.0. Every vectorized kernel that needs a sum materializes
-/// its terms into a column and folds with this -- the summation tree is a
-/// pure function of the element count, independent of lanes and threads.
+/// starting from 0.0. A kernel that needs a sum materializes its terms into
+/// a column and folds with this -- the summation tree is a pure function of
+/// the element count, independent of lanes and threads.
 inline double ordered_sum(std::span<const double> values) noexcept {
   double sum = 0.0;
   for (const double v : values) sum += v;
@@ -72,7 +66,6 @@ inline double ordered_sum(std::span<const double> values) noexcept {
 namespace stdx = std::experimental;
 
 using vdouble = stdx::native_simd<double>;
-using vmask = vdouble::mask_type;
 inline constexpr std::size_t kSimdLanes = vdouble::size();
 
 inline vdouble vload(const double* p) {
@@ -81,35 +74,10 @@ inline vdouble vload(const double* p) {
 inline void vstore(double* p, const vdouble& v) {
   v.copy_to(p, stdx::element_aligned);
 }
-inline vdouble vmin(const vdouble& a, const vdouble& b) {
-  return stdx::min(a, b);
-}
-inline vdouble vmax(const vdouble& a, const vdouble& b) {
-  return stdx::max(a, b);
-}
-/// Elementwise `mask ? a : b`.
-inline vdouble vselect(const vmask& mask, const vdouble& a, const vdouble& b) {
-  vdouble r = b;
-  stdx::where(mask, r) = a;
-  return r;
-}
-/// Horizontal min/max -- order-independent, used only for range *checks*
-/// (never for results the determinism contract covers).
-inline double vreduce_min(const vdouble& v) { return stdx::hmin(v); }
-inline double vreduce_max(const vdouble& v) { return stdx::hmax(v); }
-
-/// Elementwise std::clamp(v, 0.0, 1.0), bitwise identical to the scalar
-/// call for every input -- including NaN (which propagates, where hardware
-/// min/max would swallow it) and signed zero.
-inline vdouble vclamp01(const vdouble& v) {
-  const vdouble zero(0.0);
-  const vdouble one(1.0);
-  return vselect(zero > v, zero, vselect(v > one, one, v));
-}
 
 #else  // scalar fallback: one lane, same interface
 
-/// One-lane stand-in for native_simd<double>: the kernels compile (and run
+/// One-lane stand-in for native_simd<double>: the kernel compiles (and runs
 /// the exact scalar operation sequence) when the native path is absent.
 struct vdouble {
   double lane = 0.0;
@@ -134,36 +102,10 @@ struct vdouble {
   friend vdouble operator/(vdouble a, vdouble b) { return {a.lane / b.lane}; }
 };
 
-struct vmask {
-  bool lane = false;
-  friend vmask operator&&(vmask a, vmask b) {
-    return {a.lane && b.lane};
-  }
-};
-
-inline vmask operator>(vdouble a, vdouble b) { return {a.lane > b.lane}; }
-
 inline constexpr std::size_t kSimdLanes = 1;
 
 inline vdouble vload(const double* p) { return vdouble{*p}; }
 inline void vstore(double* p, const vdouble& v) { *p = v.lane; }
-inline vdouble vmin(vdouble a, vdouble b) {
-  return {b.lane < a.lane ? b.lane : a.lane};
-}
-inline vdouble vmax(vdouble a, vdouble b) {
-  return {a.lane < b.lane ? b.lane : a.lane};
-}
-inline vdouble vselect(vmask mask, vdouble a, vdouble b) {
-  return {mask.lane ? a.lane : b.lane};
-}
-inline double vreduce_min(vdouble v) { return v.lane; }
-inline double vreduce_max(vdouble v) { return v.lane; }
-
-inline vdouble vclamp01(vdouble v) {
-  const vdouble zero(0.0);
-  const vdouble one(1.0);
-  return vselect(zero > v, zero, vselect(v > one, one, v));
-}
 
 #endif  // ODRL_SIMD_NATIVE
 

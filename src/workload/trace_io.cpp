@@ -1,11 +1,8 @@
 #include "workload/trace_io.hpp"
 
-#include <charconv>
 #include <cmath>
 #include <fstream>
 #include <sstream>
-#include <stdexcept>
-#include <string_view>
 #include <vector>
 
 namespace odrl::workload {
@@ -15,8 +12,6 @@ using snapshot::SnapshotStatus;
 
 namespace {
 
-constexpr const char* kMagic = "# odrl-trace v1";
-
 double finite_sample(snapshot::Reader& r, const char* what) {
   const double v = r.f64();
   if (!std::isfinite(v)) {
@@ -24,44 +19,6 @@ double finite_sample(snapshot::Reader& r, const char* what) {
                         std::string("trace: non-finite ") + what);
   }
   return v;
-}
-
-std::vector<std::string> split(const std::string& line) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  for (;;) {
-    const auto comma = line.find(',', start);
-    if (comma == std::string::npos) {
-      out.push_back(line.substr(start));
-      return out;
-    }
-    out.push_back(line.substr(start, comma - start));
-    start = comma + 1;
-  }
-}
-
-double parse_double(const std::string& s, const char* what) {
-  try {
-    std::size_t used = 0;
-    const double v = std::stod(s, &used);
-    if (used != s.size()) throw std::invalid_argument(s);
-    return v;
-  } catch (const std::exception&) {
-    throw std::runtime_error(std::string("trace parse: bad ") + what +
-                             " value '" + s + "'");
-  }
-}
-
-std::size_t parse_size(const std::string& s, const char* what) {
-  try {
-    std::size_t used = 0;
-    const unsigned long long v = std::stoull(s, &used);
-    if (used != s.size()) throw std::invalid_argument(s);
-    return static_cast<std::size_t>(v);
-  } catch (const std::exception&) {
-    throw std::runtime_error(std::string("trace parse: bad ") + what +
-                             " value '" + s + "'");
-  }
 }
 
 }  // namespace
@@ -139,110 +96,10 @@ RecordedTrace load_trace(std::istream& in) {
                         "load_trace: stream failure");
   }
   const std::string blob = std::move(buf).str();
-  if (blob.size() >= snapshot::kMagic.size() &&
-      std::string_view(blob).substr(0, snapshot::kMagic.size()) ==
-          snapshot::kMagic) {
-    snapshot::Reader r(blob);
-    r.open_section(kTraceSectionTag);
-    RecordedTrace trace = load_trace_payload(r);
-    r.expect_section_end();
-    return trace;
-  }
-  // Legacy CSV artifact (or garbage -- the CSV path rejects that too).
-  std::istringstream text(blob);
-  return load_trace_csv(text);
-}
-
-void save_trace_csv(const RecordedTrace& trace, std::ostream& out) {
-  out << kMagic << '\n';
-  out << "labels";
-  for (std::size_t c = 0; c < trace.n_cores(); ++c) {
-    const std::string& label = trace.label(c);
-    if (label.find_first_of(",\"\n\r") != std::string::npos) {
-      throw std::invalid_argument("save_trace_csv: label '" + label +
-                                  "' contains forbidden characters");
-    }
-    out << ',' << label;
-  }
-  out << '\n';
-  out << "epoch,core,base_cpi,mpki,activity\n";
-  for (std::size_t e = 0; e < trace.n_epochs(); ++e) {
-    const auto& samples = trace.epoch(e);
-    for (std::size_t c = 0; c < samples.size(); ++c) {
-      char buf[32];
-      out << e << ',' << c;
-      for (double v : {samples[c].base_cpi, samples[c].mpki,
-                       samples[c].activity}) {
-        auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), v);
-        if (ec != std::errc()) {
-          // Never emit a partially-formatted value: a silently truncated
-          // number would corrupt the trace and only fail at load time.
-          throw std::runtime_error("save_trace_csv: value formatting failed");
-        }
-        out << ',' << std::string_view(buf,
-                                       static_cast<std::size_t>(ptr - buf));
-      }
-      out << '\n';
-    }
-  }
-  if (!out) throw std::runtime_error("save_trace_csv: stream failure");
-}
-
-RecordedTrace load_trace_csv(std::istream& in) {
-  std::string line;
-  if (!std::getline(in, line) || line != kMagic) {
-    throw std::runtime_error("load_trace_csv: missing magic header");
-  }
-  if (!std::getline(in, line) || line.rfind("labels,", 0) != 0) {
-    throw std::runtime_error("load_trace_csv: missing labels row");
-  }
-  auto label_cells = split(line);
-  label_cells.erase(label_cells.begin());  // drop "labels"
-  if (label_cells.empty()) {
-    throw std::runtime_error("load_trace_csv: no cores in labels row");
-  }
-  const std::size_t n_cores = label_cells.size();
-
-  if (!std::getline(in, line) ||
-      line != "epoch,core,base_cpi,mpki,activity") {
-    throw std::runtime_error("load_trace_csv: missing column header");
-  }
-
-  RecordedTrace trace(n_cores, label_cells);
-  std::vector<PhaseSample> epoch_samples(n_cores);
-  std::size_t expected_epoch = 0;
-  std::size_t expected_core = 0;
-
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    const auto cells = split(line);
-    if (cells.size() != 5) {
-      throw std::runtime_error("load_trace_csv: row with wrong arity: " +
-                               line);
-    }
-    const std::size_t e = parse_size(cells[0], "epoch");
-    const std::size_t c = parse_size(cells[1], "core");
-    if (e != expected_epoch || c != expected_core) {
-      throw std::runtime_error("load_trace_csv: rows out of order at epoch " +
-                               cells[0] + " core " + cells[1]);
-    }
-    PhaseSample& s = epoch_samples[c];
-    s.base_cpi = parse_double(cells[2], "base_cpi");
-    s.mpki = parse_double(cells[3], "mpki");
-    s.activity = parse_double(cells[4], "activity");
-
-    if (++expected_core == n_cores) {
-      trace.append_epoch(epoch_samples);
-      expected_core = 0;
-      ++expected_epoch;
-    }
-  }
-  if (expected_core != 0) {
-    throw std::runtime_error("load_trace_csv: truncated final epoch");
-  }
-  if (trace.n_epochs() == 0) {
-    throw std::runtime_error("load_trace_csv: empty trace");
-  }
+  snapshot::Reader r(blob);
+  r.open_section(kTraceSectionTag);
+  RecordedTrace trace = load_trace_payload(r);
+  r.expect_section_end();
   return trace;
 }
 

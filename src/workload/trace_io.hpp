@@ -8,17 +8,8 @@
 // Since snapshot format v1 the on-disk artifact is a single-section binary
 // snapshot (magic ODRLSNAP, one 'TRCE' section: core count, labels, epoch
 // count, per-epoch-per-core phase samples; see snapshot/snapshot.hpp for
-// framing and the versioning policy). The previous CSV format
-// ("# odrl-trace v1") is still *read* behind a format sniff so existing
-// trace files keep loading; it is no longer written by the file wrapper.
-//
-// Legacy CSV (v1):
-//   # odrl-trace v1
-//   labels,<label core 0>,<label core 1>,...
-//   epoch,core,base_cpi,mpki,activity
-//   0,0,0.55,0.31,0.94
-//   ...
-// Labels must not contain commas, quotes or newlines (enforced on save).
+// framing and the versioning policy). It is the only format read: any
+// other bytes are rejected with kBadMagic.
 #pragma once
 
 #include <iosfwd>
@@ -47,22 +38,11 @@ RecordedTrace load_trace_payload(snapshot::Reader& r);
 /// Writes the trace as a standalone single-section snapshot blob.
 void save_trace(const RecordedTrace& trace, std::ostream& out);
 
-/// Reads a trace: sniffs the binary snapshot magic first, then the legacy
-/// CSV header. Binary failures throw snapshot::SnapshotError; legacy CSV
-/// failures keep their historical std::runtime_error. Consumes the whole
-/// stream (the binary sniff needs the full frame).
+/// Reads a trace written by save_trace. Throws snapshot::SnapshotError on
+/// malformed input. Consumes the whole stream (the frame is checksummed).
 RecordedTrace load_trace(std::istream& in);
 
-/// Legacy CSV writer; throws std::invalid_argument on unserializable
-/// labels and std::runtime_error on stream failure. Kept for
-/// interoperability with external tooling that consumes the CSV schema.
-void save_trace_csv(const RecordedTrace& trace, std::ostream& out);
-
-/// Legacy CSV parser; throws std::runtime_error on malformed input.
-RecordedTrace load_trace_csv(std::istream& in);
-
-/// Convenience file wrappers: save writes the binary snapshot artifact,
-/// load sniffs both formats.
+/// Convenience file wrappers over save_trace / load_trace.
 void save_trace_file(const RecordedTrace& trace, const std::string& path);
 RecordedTrace load_trace_file(const std::string& path);
 

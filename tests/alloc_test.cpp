@@ -1,13 +1,7 @@
-// Allocation contract and in-place-API equivalence.
-//
-// PR 3's data-path refactor promises two things this file pins down:
-//
-//  1. The steady-state epoch loop (step_into + decide_into, telemetry off)
-//     performs ZERO heap allocations once every scratch buffer has reached
-//     its working capacity. Verified with a counting global operator new.
-//  2. The in-place entry points are bit-identical to the allocating
-//     wrappers they replaced: step() vs step_into() and decide() vs
-//     decide_into() must produce the same bits at any thread count.
+// Allocation contract: the steady-state epoch loop (step_into +
+// decide_into, telemetry off) performs ZERO heap allocations once every
+// scratch buffer has reached its working capacity. Verified with a
+// counting global operator new.
 //
 // The counting operator new replaces the global one for this whole test
 // binary; gtest and setup code allocate freely, so every assertion reads a
@@ -19,7 +13,6 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -219,124 +212,6 @@ TEST(SteadyStateAllocs, BatchPowerCorePowerIntoIsAllocationFree) {
   const std::size_t after = g_new_calls.load(std::memory_order_relaxed);
   EXPECT_EQ(after - before, 0u)
       << "core_power_into allocated in steady state";
-}
-
-// -- 2. Bit-identity of the in-place entry points ------------------------
-
-void expect_epochs_identical(const sim::EpochResult& a,
-                             const sim::EpochResult& b) {
-  ASSERT_EQ(a.cores.size(), b.cores.size());
-  EXPECT_EQ(a.epoch, b.epoch);
-  EXPECT_EQ(a.epoch_s, b.epoch_s);
-  EXPECT_EQ(a.budget_w, b.budget_w);
-  EXPECT_EQ(a.chip_power_w, b.chip_power_w);
-  EXPECT_EQ(a.true_chip_power_w, b.true_chip_power_w);
-  EXPECT_EQ(a.total_ips, b.total_ips);
-  EXPECT_EQ(a.max_temp_c, b.max_temp_c);
-  EXPECT_EQ(a.thermal_violations, b.thermal_violations);
-  EXPECT_EQ(a.mem_latency_mult, b.mem_latency_mult);
-  EXPECT_EQ(a.dram_utilization, b.dram_utilization);
-  for (std::size_t i = 0; i < a.cores.size(); ++i) {
-    EXPECT_EQ(a.cores.level()[i], b.cores.level()[i]);
-    EXPECT_EQ(a.cores.ips()[i], b.cores.ips()[i]);
-    EXPECT_EQ(a.cores.instructions()[i], b.cores.instructions()[i]);
-    EXPECT_EQ(a.cores.power_w()[i], b.cores.power_w()[i]);
-    EXPECT_EQ(a.cores.true_power_w()[i], b.cores.true_power_w()[i]);
-    EXPECT_EQ(a.cores.mem_stall_frac()[i], b.cores.mem_stall_frac()[i]);
-    EXPECT_EQ(a.cores.temp_c()[i], b.cores.temp_c()[i]);
-  }
-}
-
-class InPlaceBitIdentity : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(InPlaceBitIdentity, StepIntoMatchesStep) {
-  const std::size_t threads = GetParam();
-  const arch::ChipConfig c = chip();
-  sim::ManyCoreSystem via_step = make_system(c, threads);
-  sim::ManyCoreSystem via_into = make_system(c, threads);
-  const std::size_t n_levels = c.vf_table().size();
-
-  std::vector<std::size_t> levels(kCores, 0);
-  sim::EpochResult reused;
-  for (std::size_t e = 0; e < 100; ++e) {
-    for (std::size_t i = 0; i < kCores; ++i) {
-      levels[i] = (e + i) % n_levels;  // exercise switch costs too
-    }
-    // The deprecated allocating wrapper must stay bit-identical to the
-    // in-place path for as long as it survives.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-    const sim::EpochResult fresh = via_step.step(levels);
-#pragma GCC diagnostic pop
-    via_into.step_into(levels, reused);
-    expect_epochs_identical(fresh, reused);
-  }
-}
-
-TEST_P(InPlaceBitIdentity, DecideIntoMatchesDecide) {
-  const std::size_t threads = GetParam();
-  const arch::ChipConfig c = chip();
-  for (const char* name : {"OD-RL", "PID", "Greedy", "MaxBIPS", "Static"}) {
-    sim::ManyCoreSystem sys_a = make_system(c, threads);
-    sim::ManyCoreSystem sys_b = make_system(c, threads);
-    auto ctl_a = sim::make_controller(name, c);
-    auto ctl_b = sim::make_controller(name, c);
-    ctl_a->set_threads(threads);
-    ctl_b->set_threads(threads);
-
-    std::vector<std::size_t> levels_a = ctl_a->initial_levels(kCores);
-    std::vector<std::size_t> levels_b = ctl_b->initial_levels(kCores);
-    std::vector<std::size_t> out_b(kCores, 0);
-    sim::EpochResult obs_b;
-    for (std::size_t e = 0; e < 100; ++e) {
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-      const sim::EpochResult obs_a = sys_a.step(levels_a);
-      levels_a = ctl_a->decide(obs_a);
-#pragma GCC diagnostic pop
-      sys_b.step_into(levels_b, obs_b);
-      ctl_b->decide_into(obs_b, out_b);
-      levels_b.swap(out_b);
-      ASSERT_EQ(levels_a, levels_b) << name << " diverged at epoch " << e;
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Threads, InPlaceBitIdentity,
-                         ::testing::Values(std::size_t{1}, std::size_t{4}),
-                         [](const auto& info) {
-                           return "t" + std::to_string(info.param);
-                         });
-
-// -- 3. Legacy bridge ----------------------------------------------------
-//
-// decide_into() is the only virtual decision entry point since the bridge
-// retirement; the non-virtual decide() shim survives one more release for
-// out-of-tree callers. This is the single in-tree use of the shim, kept to
-// pin its forwarding behaviour until it is deleted.
-
-class IntoOnlyController final : public sim::Controller {
- public:
-  std::string name() const override { return "into-only"; }
-  std::vector<std::size_t> initial_levels(std::size_t n_cores) override {
-    return std::vector<std::size_t>(n_cores, 1);
-  }
-  void decide_into(const sim::EpochResult& obs,
-                   std::span<std::size_t> out) override {
-    (void)obs;
-    std::fill(out.begin(), out.end(), 2);
-  }
-};
-
-TEST(LegacyBridge, DeprecatedDecideForwardsToDecideInto) {
-  sim::EpochResult obs;
-  obs.cores.resize(4);
-  IntoOnlyController ctl;
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  const std::vector<std::size_t> out = ctl.decide(obs);
-#pragma GCC diagnostic pop
-  EXPECT_EQ(out, std::vector<std::size_t>(4, 2));
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-// libFuzzer driver for the Q-table policy parser (ODRL_FUZZ builds).
+// libFuzzer driver for the binary Q-table loader (ODRL_FUZZ builds).
 #include <cstddef>
 #include <cstdint>
 

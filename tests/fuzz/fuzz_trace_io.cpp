@@ -1,4 +1,4 @@
-// libFuzzer driver for the workload-trace CSV parser (ODRL_FUZZ builds).
+// libFuzzer driver for the binary workload-trace loader (ODRL_FUZZ builds).
 #include <cstddef>
 #include <cstdint>
 

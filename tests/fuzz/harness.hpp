@@ -1,6 +1,7 @@
-// Shared fuzz entry points for the serialized formats: the three text
-// parsers, the raw snapshot frame, and the multi-chip snapshot frame
-// (a differential resume harness). Each harness feeds arbitrary bytes to
+// Shared fuzz entry points for the serialized formats: the fault-schedule
+// text parser, the binary Q-table and workload-trace artifacts, the raw
+// snapshot frame, the multi-chip snapshot frame (a differential resume
+// harness) and the service wire protocol. Each harness feeds arbitrary bytes to
 // a loader and enforces the parser contract:
 //
 //   * malformed input throws std::runtime_error (or std::invalid_argument
@@ -69,8 +70,6 @@ inline void fuzz_fault_schedule(const std::uint8_t* data, std::size_t size) {
 inline void fuzz_trace(const std::uint8_t* data, std::size_t size) {
   std::istringstream in(as_string(data, size));
   try {
-    // load_trace sniffs both formats, so one harness covers the binary
-    // 'TRCE' artifact and the legacy CSV it still reads.
     const workload::RecordedTrace trace = workload::load_trace(in);
     std::stringstream io;
     workload::save_trace(trace, io);

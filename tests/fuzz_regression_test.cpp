@@ -9,6 +9,8 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -303,4 +305,152 @@ std::vector<std::pair<std::string, std::string>> expected_service_seeds() {
 // corpus into rejection-only inputs.
 TEST(FuzzRegression, ServiceSeedsMatchCurrentFormat) {
   check_generated_seeds("service", expected_service_seeds());
+}
+
+namespace {
+
+/// One-section snapshot frame around a raw payload writer -- for seeds a
+/// well-behaved saver would never produce.
+template <typename WritePayload>
+std::string section_frame(std::uint32_t tag, WritePayload write_payload) {
+  odrl::snapshot::Writer w;
+  w.begin_section(tag);
+  write_payload(w);
+  w.end_section();
+  return std::move(w).finish();
+}
+
+/// `blob` with one bit of its first payload byte flipped: still framed,
+/// but the trailer checksum no longer matches.
+std::string flip_payload_bit(std::string blob) {
+  // magic (8) + version (4) + section tag (4) + payload length (8).
+  constexpr std::size_t kFirstPayloadByte = 24;
+  blob[kFirstPayloadByte] = static_cast<char>(blob[kFirstPayloadByte] ^ 1);
+  return blob;
+}
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+
+// One seed per rejection class of the Q-table artifact, plus a retired
+// text-format file that must be rejected on the magic.
+std::vector<std::pair<std::string, std::string>> expected_qtable_seeds() {
+  namespace orl = odrl::rl;
+  orl::QTable table(3, 2, 0.5);
+  table.set_q(0, 1, -1.25);
+  table.set_q(2, 0, 3.0);
+  table.set_visits(1, 1, 7);
+  std::ostringstream out;
+  orl::save_qtable(table, out);
+  const std::string valid = out.str();
+  return {
+      {"valid_small", valid},
+      {"truncated", valid.substr(0, valid.size() / 2)},
+      // 2^13 x 2^14 cells: one past the kMaxQtableCells cap of 2^26.
+      {"hostile_dims",
+       section_frame(orl::kQtableSectionTag,
+                     [](odrl::snapshot::Writer& w) {
+                       w.u64(std::uint64_t{1} << 13);
+                       w.u64(std::uint64_t{1} << 14);
+                     })},
+      {"nonfinite_q", section_frame(orl::kQtableSectionTag,
+                                    [](odrl::snapshot::Writer& w) {
+                                      w.u64(1);
+                                      w.u64(2);
+                                      w.f64(1.0);
+                                      w.f64(kNaN);
+                                      w.u32(1);
+                                      w.u32(1);
+                                    })},
+      {"checksum_mismatch", flip_payload_bit(valid)},
+      {"legacy_text", "# odrl-qtable v1\n1 2\nq 1.0 2.0\nv 1 1\n"},
+  };
+}
+
+// Same rejection classes for the workload-trace artifact.
+std::vector<std::pair<std::string, std::string>> expected_trace_seeds() {
+  namespace ow = odrl::workload;
+  ow::RecordedTrace trace(2, {"compute", "memory"});
+  for (int e = 0; e < 3; ++e) {
+    const double d = 0.125 * e;
+    trace.append_epoch({{.base_cpi = 0.5 + d, .mpki = 0.25, .activity = 0.9},
+                        {.base_cpi = 1.5, .mpki = 20.0 + d, .activity = 0.4}});
+  }
+  std::ostringstream out;
+  ow::save_trace(trace, out);
+  const std::string valid = out.str();
+  return {
+      {"valid_small", valid},
+      {"truncated", valid.substr(0, valid.size() / 2)},
+      // 2 cores x 2^26 epochs: twice the kMaxTraceCells cap.
+      {"hostile_dims", section_frame(ow::kTraceSectionTag,
+                                     [](odrl::snapshot::Writer& w) {
+                                       w.u64(2);
+                                       w.str("a");
+                                       w.str("b");
+                                       w.u64(std::uint64_t{1} << 26);
+                                     })},
+      {"nonfinite_sample", section_frame(ow::kTraceSectionTag,
+                                         [](odrl::snapshot::Writer& w) {
+                                           w.u64(1);
+                                           w.str("a");
+                                           w.u64(1);
+                                           w.f64(1.0);
+                                           w.f64(kNaN);
+                                           w.f64(0.5);
+                                         })},
+      {"checksum_mismatch", flip_payload_bit(valid)},
+      {"legacy_csv",
+       "# odrl-trace v1\nlabels,a\nepoch,core,base_cpi,mpki,activity\n"
+       "0,0,1.0,2.0,0.5\n"},
+  };
+}
+
+/// The status `load` rejects `blob` with (kOk when it loads).
+template <typename Load>
+odrl::snapshot::SnapshotStatus load_status(Load load, const std::string& blob) {
+  std::istringstream in(blob);
+  try {
+    (void)load(in);
+  } catch (const odrl::snapshot::SnapshotError& e) {
+    return e.status();
+  }
+  return odrl::snapshot::SnapshotStatus::kOk;
+}
+
+/// The rejection class each generated single-artifact seed stands for.
+odrl::snapshot::SnapshotStatus expected_status(const std::string& seed) {
+  using odrl::snapshot::SnapshotStatus;
+  if (seed == "valid_small") return SnapshotStatus::kOk;
+  if (seed == "truncated") return SnapshotStatus::kTruncated;
+  if (seed == "hostile_dims") return SnapshotStatus::kBadValue;
+  if (seed.starts_with("nonfinite")) return SnapshotStatus::kNonFinite;
+  if (seed == "checksum_mismatch") return SnapshotStatus::kChecksumMismatch;
+  return SnapshotStatus::kBadMagic;  // legacy_text / legacy_csv
+}
+
+}  // namespace
+
+// Staleness guards for the single-artifact corpora: every seed is rebuilt
+// from the current serializers and compared byte for byte, so a format
+// change regenerates them (ODRL_WRITE_FUZZ_SEEDS=1) instead of silently
+// turning the valid seeds into rejections. Each seed must also still hit
+// the rejection class it is named for.
+TEST(FuzzRegression, QtableIoSeedsMatchCurrentFormat) {
+  const auto seeds = expected_qtable_seeds();
+  check_generated_seeds("qtable_io", seeds);
+  for (const auto& [name, bytes] : seeds) {
+    EXPECT_EQ(load_status(&odrl::rl::load_qtable, bytes),
+              expected_status(name))
+        << name;
+  }
+}
+
+TEST(FuzzRegression, TraceIoSeedsMatchCurrentFormat) {
+  const auto seeds = expected_trace_seeds();
+  check_generated_seeds("trace_io", seeds);
+  for (const auto& [name, bytes] : seeds) {
+    EXPECT_EQ(load_status(&odrl::workload::load_trace, bytes),
+              expected_status(name))
+        << name;
+  }
 }

@@ -22,7 +22,9 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <ostream>
 #include <string>
+#include <vector>
 
 #include "arch/chip_config.hpp"
 #include "sim/controller_registry.hpp"
@@ -178,9 +180,36 @@ const GoldenCase* find_case(const std::string& controller, std::size_t cores,
   return nullptr;
 }
 
-class GoldenTrace
-    : public ::testing::TestWithParam<
-          std::tuple<const char*, std::size_t, bool, bool>> {};
+struct GoldenParam {
+  const char* controller;
+  std::size_t cores;
+  bool faults;
+  bool resume;
+};
+
+// gtest lists the parameter after the test name, and CTest keeps that text
+// in the test's name. The default printer shows a const char* by address,
+// which moves on every relink and so renamed the test; print it by value.
+void PrintTo(const GoldenParam& p, std::ostream* os) {
+  *os << p.controller << '/' << p.cores << (p.faults ? "/storm" : "/clean")
+      << (p.resume ? "/resume" : "/full");
+}
+
+std::vector<GoldenParam> golden_grid() {
+  std::vector<GoldenParam> grid;
+  for (const char* controller : kControllers) {
+    for (std::size_t cores : kSizes) {
+      for (bool faults : {false, true}) {
+        for (bool resume : {false, true}) {
+          grid.push_back({controller, cores, faults, resume});
+        }
+      }
+    }
+  }
+  return grid;
+}
+
+class GoldenTrace : public ::testing::TestWithParam<GoldenParam> {};
 
 }  // namespace
 
@@ -208,40 +237,29 @@ TEST_P(GoldenTrace, DigestMatchesCommittedTable) {
          "python3 tools/regen_goldens.py";
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllControllers, GoldenTrace,
-    ::testing::Combine(::testing::ValuesIn(kControllers),
-                       ::testing::ValuesIn(kSizes), ::testing::Bool(),
-                       ::testing::Bool()),
-    [](const auto& info) {
-      std::string name = std::get<0>(info.param);
-      for (char& c : name) {
-        if (c == '-') c = '_';
-      }
-      name += "_" + std::to_string(std::get<1>(info.param));
-      name += std::get<2>(info.param) ? "_storm" : "_clean";
-      name += std::get<3>(info.param) ? "_resume" : "_full";
-      return name;
-    });
+INSTANTIATE_TEST_SUITE_P(AllControllers, GoldenTrace,
+                         ::testing::ValuesIn(golden_grid()),
+                         [](const auto& info) {
+                           std::string name = info.param.controller;
+                           for (char& c : name) {
+                             if (c == '-') c = '_';
+                           }
+                           name += "_" + std::to_string(info.param.cores);
+                           name += info.param.faults ? "_storm" : "_clean";
+                           name += info.param.resume ? "_resume" : "_full";
+                           return name;
+                         });
 
 TEST(GoldenTable, CoversExactlyTheParameterGrid) {
   if (print_mode()) GTEST_SKIP() << "regenerating, table may be stale";
   // A stale table (extra or missing rows) fails loudly here rather than
   // silently skipping coverage.
-  std::size_t grid = 0;
-  for (const char* controller : kControllers) {
-    for (std::size_t cores : kSizes) {
-      for (bool faults : {false, true}) {
-        for (bool resume : {false, true}) {
-          EXPECT_NE(find_case(controller, cores, faults, resume), nullptr)
-              << controller << "/" << cores << "/" << faults << "/"
-              << resume;
-          ++grid;
-        }
-      }
-    }
+  const std::vector<GoldenParam> grid = golden_grid();
+  for (const GoldenParam& p : grid) {
+    EXPECT_NE(find_case(p.controller, p.cores, p.faults, p.resume), nullptr)
+        << ::testing::PrintToString(p);
   }
-  EXPECT_EQ(std::size(kGoldenCases), grid)
+  EXPECT_EQ(std::size(kGoldenCases), grid.size())
       << "golden_digests.inc rows do not match the test grid -- regenerate "
          "with: python3 tools/regen_goldens.py";
 }

@@ -48,4 +48,14 @@ struct Sim {
 };
 inline double good_member_call(const Sim& sim) { return sim.time(); }
 
+// Retired API names are the compiler's business, not lint's: the deleted
+// Controller::decide()/ManyCoreSystem::step() shims and util::ThreadPool no
+// longer exist to be called, so a member named decide() or a local type
+// named ThreadPool passes.
+struct ThreadPool {};
+struct Policy {
+  int decide() const { return 0; }
+};
+inline int good_retired_names(const Policy& p) { return p.decide(); }
+
 }  // namespace fixture

@@ -17,7 +17,8 @@ import sys
 from pathlib import Path
 
 # Every rule the dirty fixture deliberately violates, and the naked-marker
-# diagnostic. A new lint rule (or a new pattern under an existing rule --
+# diagnostic (the clean fixture, in turn, pins that names of deleted APIs
+# -- decide(), ThreadPool -- are no longer findings). A new lint rule (or a new pattern under an existing rule --
 # the std::async/pthread_create spawners live under raw-thread) lands with
 # a fixture violation + an entry here, or the self-test will not protect
 # it. Entries are matched as substrings of the lint output, so finding

@@ -2,7 +2,7 @@
 // tests whose loops are about behaviour, not allocation discipline. The
 // production surface is step_into()/decide_into() (see sim/system.hpp and
 // sim/controller.hpp); these helpers keep test bodies terse without
-// reaching for the deprecated legacy bridges.
+// hand-rolling buffer management.
 #pragma once
 
 #include <cstddef>

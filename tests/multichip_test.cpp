@@ -12,6 +12,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <ostream>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -97,6 +98,15 @@ struct MultiChipGoldenCase {
 };
 
 #include "multichip_digests.inc"
+
+// gtest lists the parameter after the test name, and CTest keeps that text
+// in the test's name. The default printer dumps the struct's bytes, the
+// controller's address among them, which moves on every relink and so
+// renamed the test; print the fields that identify the case instead.
+void PrintTo(const MultiChipGoldenCase& c, std::ostream* os) {
+  *os << c.controller << '/' << c.chips << 'x' << c.cores
+      << (c.resume ? "/resume" : "/full");
+}
 
 bool print_mode() {
   const char* v = std::getenv("ODRL_GOLDEN_PRINT");

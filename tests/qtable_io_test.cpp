@@ -1,12 +1,15 @@
 // Tests for Q-table / policy serialization and warm starting.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <sstream>
+#include <string>
 
 #include "arch/chip_config.hpp"
 #include "core/odrl_controller.hpp"
 #include "rl/qtable_io.hpp"
+#include "snapshot/snapshot.hpp"
 #include "sim/system.hpp"
 #include "util/rng.hpp"
 #include "workload/workload.hpp"
@@ -14,6 +17,7 @@
 #include "loop_helpers.hpp"
 
 namespace orl = odrl::rl;
+namespace osn = odrl::snapshot;
 using odrl::test::decide;
 using odrl::test::step;
 namespace oa = odrl::arch;
@@ -43,50 +47,96 @@ TEST(QTableIo, RoundTripPreservesValuesAndVisits) {
   }
 }
 
+namespace {
+
+/// Loads `blob` and returns the SnapshotError status it was rejected with
+/// (kOk when it loaded).
+osn::SnapshotStatus load_status(const std::string& blob) {
+  std::stringstream in(blob);
+  try {
+    orl::load_qtable(in);
+  } catch (const osn::SnapshotError& e) {
+    return e.status();
+  }
+  return osn::SnapshotStatus::kOk;
+}
+
+/// A single-'QTAB'-section frame around a raw payload writer.
+template <typename WritePayload>
+std::string qtab_frame(WritePayload write_payload) {
+  osn::Writer w;
+  w.begin_section(orl::kQtableSectionTag);
+  write_payload(w);
+  w.end_section();
+  return std::move(w).finish();
+}
+
+std::string saved_table() {
+  orl::QTable table(3, 2, 0.25);
+  table.set_q(2, 1, -1.5);
+  std::stringstream out;
+  orl::save_qtable(table, out);
+  return out.str();
+}
+
+}  // namespace
+
 TEST(QTableIo, RejectsMalformedInput) {
-  auto expect_reject = [](const std::string& text) {
-    std::stringstream in(text);
-    EXPECT_THROW(orl::load_qtable(in), std::runtime_error) << text;
-  };
-  expect_reject("");
-  expect_reject("wrong magic\n");
-  expect_reject("# odrl-qtable v1\n0 3\n");
-  expect_reject("# odrl-qtable v1\n2 2\nq 1.0 2.0\nv 1\n");     // short v row
-  expect_reject("# odrl-qtable v1\n1 2\nx 1.0 2.0\nv 1 1\n");   // bad tag
-  expect_reject("# odrl-qtable v1\n1 2\nq 1.0 2.0\nv 1 -5\n");  // negative
-  expect_reject("# odrl-qtable v1\n2 2\nq 1.0 2.0\nv 1 1\n");   // missing state
+  // Anything that is not a snapshot frame -- garbage, an empty stream, or
+  // a well-formed artifact of the retired text format -- fails on the
+  // magic.
+  for (const char* text :
+       {"", "wrong magic\n", "# odrl-qtable v1\n1 2\nq 1.0 2.0\nv 1 1\n"}) {
+    EXPECT_EQ(load_status(text), osn::SnapshotStatus::kBadMagic) << text;
+  }
+  // Framed but semantically hostile: zero or overflowing dimensions.
+  EXPECT_EQ(load_status(qtab_frame([](osn::Writer& w) {
+              w.u64(0);
+              w.u64(3);
+            })),
+            osn::SnapshotStatus::kBadValue);
+  EXPECT_EQ(load_status(qtab_frame([](osn::Writer& w) {
+              w.u64(orl::kMaxQtableCells);
+              w.u64(2);
+            })),
+            osn::SnapshotStatus::kBadValue);
 }
 
 TEST(QTableIo, RejectsTruncatedAndCorruptInput) {
-  auto expect_reject = [](const std::string& text) {
-    std::stringstream in(text);
-    EXPECT_THROW(orl::load_qtable(in), std::runtime_error) << text;
-  };
-  // Truncations at every structural boundary.
-  expect_reject("# odrl-qtable v1\n");                       // no dimensions
-  expect_reject("# odrl-qtable v1\n2\n");                    // half dimensions
-  expect_reject("# odrl-qtable v1\n1 2\n");                  // no rows
-  expect_reject("# odrl-qtable v1\n1 2\nq 1.0\n");           // cut mid q row
-  expect_reject("# odrl-qtable v1\n1 2\nq 1.0 2.0\n");       // v row missing
-  expect_reject("# odrl-qtable v1\n1 2\nq 1.0 2.0\nv\n");    // empty v row
-  // Corrupt tokens.
-  expect_reject("# odrl-qtable v1\n1 2\nq 1.0 x2\nv 1 1\n");   // garbage q
-  expect_reject("# odrl-qtable v1\n1 2\nq 1.0 2.0\nv 1 x\n");  // garbage v
-  // Visit count past uint32 range (what a formatting overflow would emit).
-  expect_reject("# odrl-qtable v1\n1 2\nq 1.0 2.0\nv 1 4294967296\n");
+  const std::string blob = saved_table();
+  ASSERT_EQ(load_status(blob), osn::SnapshotStatus::kOk);
+  // Truncations at every structural boundary: inside the version, inside
+  // the section header, inside the payload, inside the trailer.
+  for (const std::size_t cut :
+       {std::size_t{10}, std::size_t{16}, std::size_t{40}, blob.size() - 1}) {
+    EXPECT_EQ(load_status(blob.substr(0, cut)),
+              osn::SnapshotStatus::kTruncated)
+        << "cut at " << cut;
+  }
+  // One flipped payload bit fails the trailer checksum.
+  std::string corrupt = blob;
+  corrupt[40] = static_cast<char>(corrupt[40] ^ 0x01);
+  EXPECT_EQ(load_status(corrupt), osn::SnapshotStatus::kChecksumMismatch);
 }
 
 TEST(QTableIo, RejectsNonFiniteQValues) {
   // A NaN/inf Q-value in a policy file would poison every TD bootstrap
   // that touches the row; loading must reject it at the door (the dynamic
   // counterpart is QTable::all_finite on the hot path).
-  auto expect_reject = [](const std::string& text) {
-    std::stringstream in(text);
-    EXPECT_THROW(orl::load_qtable(in), std::runtime_error) << text;
-  };
-  expect_reject("# odrl-qtable v1\n1 2\nq nan 2.0\nv 1 1\n");
-  expect_reject("# odrl-qtable v1\n1 2\nq 1.0 inf\nv 1 1\n");
-  expect_reject("# odrl-qtable v1\n1 2\nq -inf 2.0\nv 1 1\n");
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    EXPECT_EQ(load_status(qtab_frame([bad](osn::Writer& w) {
+                w.u64(1);
+                w.u64(2);
+                w.f64(1.0);
+                w.f64(bad);
+                w.u32(1);
+                w.u32(1);
+              })),
+              osn::SnapshotStatus::kNonFinite)
+        << bad;
+  }
 }
 
 TEST(QTableIo, SaveSurfacesStreamFailure) {
@@ -107,9 +157,8 @@ TEST(QTableIo, SaveFileSurfacesWriteFailure) {
 }
 
 TEST(QTableIo, RoundTripsExtremeMagnitudes) {
-  // to_chars shortest form must survive the text round trip exactly even
-  // at the edges of the double range (where a fixed-precision printf-style
-  // writer would truncate or overflow its buffer).
+  // f64 fields travel as raw bits, so the edges of the double range must
+  // survive the round trip exactly.
   orl::QTable table(1, 4, 0.0);
   table.set_q(0, 0, 1.7976931348623157e308);   // DBL_MAX
   table.set_q(0, 1, 3.141592653589793e-100);   // tiny, full mantissa
@@ -126,7 +175,7 @@ TEST(QTableIo, RoundTripsExtremeMagnitudes) {
 TEST(QTableIo, FileRoundTrip) {
   orl::QTable table(2, 2, 0.5);
   table.set_q(1, 1, -3.25);
-  const std::string path = testing::TempDir() + "/odrl_qtable_test.txt";
+  const std::string path = testing::TempDir() + "/odrl_qtable_test.bin";
   orl::save_qtable_file(table, path);
   const orl::QTable loaded = orl::load_qtable_file(path);
   EXPECT_EQ(loaded.q(1, 1), -3.25);
@@ -180,8 +229,17 @@ TEST(PolicyIo, LoadRejectsWrongShape) {
   oc::OdrlController eight(other_chip);
   EXPECT_THROW(eight.load_policy(buffer), std::runtime_error);
 
-  std::stringstream junk("junk");
-  EXPECT_THROW(four.load_policy(junk), std::runtime_error);
+  // Not a snapshot frame: junk and the retired text policy format alike.
+  for (const char* text :
+       {"junk", "# odrl-policy v1\n4\n# odrl-qtable v1\n1 1\nq 0\nv 0\n"}) {
+    std::stringstream in(text);
+    try {
+      four.load_policy(in);
+      FAIL() << "accepted: " << text;
+    } catch (const osn::SnapshotError& e) {
+      EXPECT_EQ(e.status(), osn::SnapshotStatus::kBadMagic) << text;
+    }
+  }
 }
 
 TEST(PolicyIo, WarmStartSkipsTheRamp) {

@@ -1,9 +1,9 @@
-// SIMD-vs-scalar bit-identity for the four vectorized epoch kernels
-// (DESIGN.md "Vectorized kernels"): batch power, thermal euler step,
-// budget reallocation, and the batched TD update. Every test drives the
-// scalar reference and the vectorized variant over identical inputs and
-// asserts EXACT (bitwise, EXPECT_EQ on doubles) agreement -- the same
-// contract the golden digests and the threading tests pin end to end.
+// Bit-identity of the epoch kernels against their references (DESIGN.md
+// "Vectorized kernels"): the batch power model against the per-core
+// PowerModel, and the one vectorized kernel -- the thermal Euler step --
+// against its scalar path. Every test asserts EXACT (bitwise, EXPECT_EQ on
+// doubles) agreement -- the same contract the golden digests and the
+// threading tests pin end to end.
 //
 // When the build carries no native SIMD (ODRL_SIMD=OFF), the force-scalar
 // toggle is a no-op and both sides run the same code; the comparisons
@@ -14,19 +14,15 @@
 #include <cmath>
 #include <cstddef>
 #include <memory>
-#include <optional>
 #include <stdexcept>
 #include <vector>
 
 #include "arch/chip_config.hpp"
 #include "arch/mesh.hpp"
 #include "arch/vf_table.hpp"
-#include "core/budget_realloc.hpp"
 #include "core/odrl_controller.hpp"
 #include "power/batch_power.hpp"
 #include "power/power_model.hpp"
-#include "rl/agent.hpp"
-#include "rl/td_batch.hpp"
 #include "sim/runner.hpp"
 #include "sim/system.hpp"
 #include "thermal/thermal_model.hpp"
@@ -37,7 +33,6 @@
 namespace oa = odrl::arch;
 namespace oc = odrl::core;
 namespace opw = odrl::power;
-namespace orl = odrl::rl;
 namespace os = odrl::sim;
 namespace ot = odrl::thermal;
 namespace ou = odrl::util;
@@ -111,21 +106,15 @@ TEST(SimdBatchPower, MatchesScalarPowerModelBitwise) {
       temp[i] = 45.0 + static_cast<double>(i % 50);
     }
 
-    std::vector<double> out_vec(n, -1.0);
-    std::vector<double> out_scalar(n, -1.0);
-    batch.core_power_into(0, n, level, phases, temp, out_vec);
-    {
-      ForceScalarGuard guard(true);
-      batch.core_power_into(0, n, level, phases, temp, out_scalar);
-    }
+    std::vector<double> out(n, -1.0);
+    batch.core_power_into(0, n, level, phases, temp, out);
     // Reference: the scalar PowerModel, one core at a time.
     for (std::size_t i = 0; i < n; ++i) {
       const opw::PowerModel m(per_core[i]);
       const double ref =
           m.core_power_at(table[level[i]], phases[i].activity, temp[i])
               .total_w();
-      EXPECT_EQ(out_vec[i], ref) << "core " << i << " n " << n;
-      EXPECT_EQ(out_scalar[i], ref) << "core " << i << " n " << n;
+      EXPECT_EQ(out[i], ref) << "core " << i << " n " << n;
     }
   }
 }
@@ -169,16 +158,12 @@ TEST(SimdBatchPower, ActivityBeyondToleranceThrowsInBothVariants) {
   std::vector<ow::PhaseSample> phases(
       n, {.base_cpi = 1.0, .mpki = 5.0, .activity = 0.5});
   phases[2].activity = 1.1;  // far outside kActivityTol
+  // Checked builds fail the hard contract; release builds throw past the
+  // tolerance clamp.
   if (ou::checks_enabled()) {
     EXPECT_THROW(batch.core_power_into(0, n, level, phases, temp, out),
                  ou::ContractViolation);
-    ForceScalarGuard guard(true);
-    EXPECT_THROW(batch.core_power_into(0, n, level, phases, temp, out),
-                 ou::ContractViolation);
   } else {
-    EXPECT_THROW(batch.core_power_into(0, n, level, phases, temp, out),
-                 std::invalid_argument);
-    ForceScalarGuard guard(true);
     EXPECT_THROW(batch.core_power_into(0, n, level, phases, temp, out),
                  std::invalid_argument);
   }
@@ -238,148 +223,6 @@ TEST(SimdThermal, SteadyStateResultReportsConvergence) {
   for (std::size_t i = 0; i < plain.size(); ++i) {
     EXPECT_EQ(plain[i], r.temps_c[i]) << i;
   }
-}
-
-// ------------------------------------------------------------ reallocation
-
-TEST(SimdRealloc, BothBranchesMatchScalarBitwise) {
-  for (std::size_t n : {3u, 13u, 64u, 129u}) {
-    std::vector<oc::CoreDemand> demands(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      demands[i].power_w = 0.5 + 0.13 * static_cast<double>(i % 23);
-      demands[i].sensitivity =
-          0.05 * static_cast<double>(i % 21) - 0.02;  // strays past [0,1]
-      demands[i].can_raise = (i % 3) != 0;
-    }
-    double total = 0.0;
-    for (const oc::CoreDemand& d : demands) total += d.power_w;
-    // Surplus branch (budget comfortably above demand) and oversubscribed
-    // branch (budget well below demand), both exercised.
-    for (double budget : {total * 4.0, total * 0.4}) {
-      const std::vector<double> vec =
-          oc::reallocate_budget(demands, budget, {});
-      ForceScalarGuard guard(true);
-      const std::vector<double> sca =
-          oc::reallocate_budget(demands, budget, {});
-      ASSERT_EQ(vec.size(), sca.size());
-      for (std::size_t i = 0; i < n; ++i) {
-        EXPECT_EQ(vec[i], sca[i]) << "n " << n << " budget " << budget
-                                  << " core " << i;
-      }
-    }
-  }
-}
-
-// --------------------------------------------------------- batched TD
-
-namespace {
-
-orl::TdConfig td_config(orl::TdRule rule) {
-  orl::TdConfig cfg;
-  cfg.rule = rule;
-  cfg.gamma = 0.7;
-  cfg.q_init = 0.5;
-  return cfg;
-}
-
-/// Builds m agents and a deterministic batch of transitions, then applies
-/// the batch through td_update_batch on one set and through sequential
-/// learn() on a twin set; every Q-value and update counter must agree to
-/// the last bit.
-void check_td_batch(orl::TdRule rule, std::size_t m, bool pass_next_action) {
-  const std::size_t n_states = 12;
-  const std::size_t n_actions = 4;
-  std::vector<orl::TdAgent> batched;
-  std::vector<orl::TdAgent> sequential;
-  for (std::size_t j = 0; j < m; ++j) {
-    batched.emplace_back(n_states, n_actions, td_config(rule));
-    sequential.emplace_back(n_states, n_actions, td_config(rule));
-  }
-
-  std::vector<std::size_t> ps(m), pa(m), ns(m), na(m);
-  std::vector<double> reward(m);
-  std::vector<orl::TdAgent*> agents(m);
-  for (std::size_t round = 0; round < 9; ++round) {
-    for (std::size_t j = 0; j < m; ++j) {
-      ps[j] = (j + round) % n_states;
-      pa[j] = (j * 7 + round) % n_actions;
-      ns[j] = (j + round + 5) % n_states;
-      na[j] = (j + 2 * round) % n_actions;
-      reward[j] = std::sin(static_cast<double>(j * 31 + round)) * 2.0;
-      agents[j] = &batched[j];
-    }
-    orl::TdBatchSpans batch{
-        .agents = agents,
-        .prev_state = ps,
-        .prev_action = pa,
-        .next_state = ns,
-        .next_action = pass_next_action
-                           ? std::span<const std::size_t>(na)
-                           : std::span<const std::size_t>(),
-        .reward = reward};
-    std::vector<double> scratch(3 * m);
-    orl::td_update_batch(batch, scratch);
-    for (std::size_t j = 0; j < m; ++j) {
-      sequential[j].learn(ps[j], pa[j], reward[j], ns[j],
-                          pass_next_action
-                              ? std::optional<std::size_t>(na[j])
-                              : std::nullopt);
-    }
-  }
-
-  for (std::size_t j = 0; j < m; ++j) {
-    EXPECT_EQ(batched[j].updates(), sequential[j].updates()) << "agent " << j;
-    for (std::size_t s = 0; s < n_states; ++s) {
-      for (std::size_t a = 0; a < n_actions; ++a) {
-        ASSERT_EQ(batched[j].table().q(s, a), sequential[j].table().q(s, a))
-            << "agent " << j << " q(" << s << "," << a << ")";
-      }
-    }
-  }
-}
-
-}  // namespace
-
-TEST(SimdTdBatch, QLearningMatchesSequentialLearnBitwise) {
-  check_td_batch(orl::TdRule::kQLearning, 11, /*pass_next_action=*/false);
-  ForceScalarGuard guard(true);
-  check_td_batch(orl::TdRule::kQLearning, 11, /*pass_next_action=*/false);
-}
-
-TEST(SimdTdBatch, SarsaMatchesSequentialLearnBitwise) {
-  check_td_batch(orl::TdRule::kSarsa, 13, /*pass_next_action=*/true);
-  ForceScalarGuard guard(true);
-  check_td_batch(orl::TdRule::kSarsa, 13, /*pass_next_action=*/true);
-}
-
-TEST(SimdTdBatch, SarsaWithoutNextActionThrows) {
-  orl::TdAgent agent(4, 2, td_config(orl::TdRule::kSarsa));
-  orl::TdAgent* agents[] = {&agent};
-  const std::size_t ps[] = {0}, pa[] = {0}, ns[] = {1};
-  const double reward[] = {1.0};
-  orl::TdBatchSpans batch{.agents = agents,
-                          .prev_state = ps,
-                          .prev_action = pa,
-                          .next_state = ns,
-                          .next_action = {},
-                          .reward = reward};
-  std::vector<double> scratch(3);
-  EXPECT_THROW(orl::td_update_batch(batch, scratch), std::invalid_argument);
-}
-
-TEST(SimdTdBatch, UndersizedScratchThrows) {
-  orl::TdAgent agent(4, 2, td_config(orl::TdRule::kQLearning));
-  orl::TdAgent* agents[] = {&agent};
-  const std::size_t ps[] = {0}, pa[] = {0}, ns[] = {1};
-  const double reward[] = {1.0};
-  orl::TdBatchSpans batch{.agents = agents,
-                          .prev_state = ps,
-                          .prev_action = pa,
-                          .next_state = ns,
-                          .next_action = {},
-                          .reward = reward};
-  std::vector<double> scratch(2);  // needs 3 per agent
-  EXPECT_THROW(orl::td_update_batch(batch, scratch), std::invalid_argument);
 }
 
 // ----------------------------------------------- closed loop, end to end

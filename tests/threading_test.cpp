@@ -1,10 +1,9 @@
-// Tests for the deterministic fork-join pool and the bit-identical
-// threading contract: an N-thread run of the simulator + controllers must
+// Tests for the bit-identical threading contract (the task runtime's own
+// chunking/reduction contracts live in task_test.cpp): an N-thread run of the simulator + controllers must
 // reproduce a 1-thread run exactly (same chunk layout, same reduction
 // trees, per-core noise/exploration substreams).
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
 #include <memory>
 #include <stdexcept>
@@ -15,116 +14,13 @@
 #include "core/odrl_controller.hpp"
 #include "sim/runner.hpp"
 #include "sim/system.hpp"
-#include "util/thread_pool.hpp"
 #include "workload/workload.hpp"
 
-namespace ou = odrl::util;
 namespace oa = odrl::arch;
 namespace oc = odrl::core;
 namespace ob = odrl::baselines;
 namespace os = odrl::sim;
 namespace ow = odrl::workload;
-
-// ------------------------------------------------------------ ThreadPool
-
-TEST(ThreadPool, ResolveThreads) {
-  EXPECT_GE(ou::ThreadPool::resolve_threads(0), 1u);
-  EXPECT_EQ(ou::ThreadPool::resolve_threads(3), 3u);
-  // A negative CLI value cast to size_t must fail loudly, not reserve
-  // SIZE_MAX worker slots.
-  EXPECT_THROW(ou::ThreadPool::resolve_threads(static_cast<std::size_t>(-1)),
-               std::invalid_argument);
-  EXPECT_THROW(ou::ThreadPool(100000), std::invalid_argument);
-  ou::ThreadPool serial(1);
-  EXPECT_EQ(serial.size(), 1u);
-  ou::ThreadPool wide(4);
-  EXPECT_EQ(wide.size(), 4u);
-}
-
-TEST(ThreadPool, ParallelForCoversEveryIndexOnce) {
-  ou::ThreadPool pool(4);
-  for (std::size_t n : {1u, 7u, 64u, 257u}) {
-    std::vector<std::atomic<int>> hits(n);
-    pool.parallel_for(n, 5, [&](std::size_t begin, std::size_t end) {
-      ASSERT_LT(begin, end);
-      ASSERT_LE(end, n);
-      for (std::size_t i = begin; i < end; ++i) {
-        hits[i].fetch_add(1, std::memory_order_relaxed);
-      }
-    });
-    for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
-  }
-}
-
-TEST(ThreadPool, ChunkBoundariesDependOnlyOnGrain) {
-  // Chunks must be [c*g, min(n, (c+1)*g)) regardless of pool width.
-  for (std::size_t threads : {1u, 3u}) {
-    ou::ThreadPool pool(threads);
-    std::vector<std::pair<std::size_t, std::size_t>> chunks(4);
-    pool.parallel_for(10, 3, [&](std::size_t begin, std::size_t end) {
-      chunks[begin / 3] = {begin, end};
-    });
-    EXPECT_EQ(chunks[0], (std::pair<std::size_t, std::size_t>{0, 3}));
-    EXPECT_EQ(chunks[1], (std::pair<std::size_t, std::size_t>{3, 6}));
-    EXPECT_EQ(chunks[2], (std::pair<std::size_t, std::size_t>{6, 9}));
-    EXPECT_EQ(chunks[3], (std::pair<std::size_t, std::size_t>{9, 10}));
-  }
-}
-
-TEST(ThreadPool, ReduceIsBitIdenticalAcrossThreadCounts) {
-  // Sum of a float series whose value depends on the summation tree; the
-  // chunk-ordered fold must make every pool width agree to the last bit.
-  auto reduce_with = [](std::size_t threads) {
-    ou::ThreadPool pool(threads);
-    return pool.parallel_reduce(
-        1000, 7, 0.0,
-        [](std::size_t begin, std::size_t end) {
-          double s = 0.0;
-          for (std::size_t i = begin; i < end; ++i) {
-            s += std::sin(static_cast<double>(i)) * 1e-3 + 1.0;
-          }
-          return s;
-        },
-        [](double acc, double partial) { return acc + partial; });
-  };
-  const double serial = reduce_with(1);
-  EXPECT_EQ(serial, reduce_with(2));
-  EXPECT_EQ(serial, reduce_with(5));
-  EXPECT_EQ(serial, reduce_with(8));
-}
-
-TEST(ThreadPool, PropagatesExceptionsAndStaysUsable) {
-  ou::ThreadPool pool(3);
-  EXPECT_THROW(
-      pool.parallel_for(100, 10,
-                        [](std::size_t begin, std::size_t) {
-                          if (begin == 50) throw std::runtime_error("boom");
-                        }),
-      std::runtime_error);
-  // The pool must survive the throw and run subsequent jobs normally.
-  std::atomic<int> total{0};
-  pool.parallel_for(100, 10, [&](std::size_t begin, std::size_t end) {
-    total.fetch_add(static_cast<int>(end - begin));
-  });
-  EXPECT_EQ(total.load(), 100);
-}
-
-TEST(ThreadPool, ManyConsecutiveJobsStayCorrect) {
-  ou::ThreadPool pool(4);
-  for (int round = 0; round < 200; ++round) {
-    const long sum = pool.parallel_reduce(
-        100, 9, 0L,
-        [](std::size_t begin, std::size_t end) {
-          long s = 0;
-          for (std::size_t i = begin; i < end; ++i) {
-            s += static_cast<long>(i);
-          }
-          return s;
-        },
-        [](long acc, long partial) { return acc + partial; });
-    ASSERT_EQ(sum, 4950);
-  }
-}
 
 // ------------------------------------- closed-loop determinism contract
 

@@ -1,5 +1,5 @@
-// Tests for RecordedTrace serialization: the binary snapshot artifact and
-// the legacy CSV it still reads behind the format sniff.
+// Tests for RecordedTrace serialization: the binary snapshot artifact is
+// the only format; anything else (including the retired CSV) is rejected.
 #include <gtest/gtest.h>
 
 #include <limits>
@@ -20,33 +20,12 @@ ow::RecordedTrace sample_trace(std::size_t cores = 4,
 }
 }  // namespace
 
-TEST(TraceIo, RoundTripPreservesEverything) {
-  const ow::RecordedTrace original = sample_trace();
-  std::stringstream buffer;
-  ow::save_trace_csv(original, buffer);
-  const ow::RecordedTrace loaded = ow::load_trace_csv(buffer);
-
-  ASSERT_EQ(loaded.n_cores(), original.n_cores());
-  ASSERT_EQ(loaded.n_epochs(), original.n_epochs());
-  for (std::size_t c = 0; c < original.n_cores(); ++c) {
-    EXPECT_EQ(loaded.label(c), original.label(c));
-  }
-  for (std::size_t e = 0; e < original.n_epochs(); ++e) {
-    for (std::size_t c = 0; c < original.n_cores(); ++c) {
-      // to_chars round-trips doubles exactly.
-      EXPECT_EQ(loaded.epoch(e)[c].base_cpi, original.epoch(e)[c].base_cpi);
-      EXPECT_EQ(loaded.epoch(e)[c].mpki, original.epoch(e)[c].mpki);
-      EXPECT_EQ(loaded.epoch(e)[c].activity, original.epoch(e)[c].activity);
-    }
-  }
-}
-
 TEST(TraceIo, ReplayOfLoadedTraceMatches) {
   const ow::RecordedTrace original = sample_trace(3, 15);
   std::stringstream buffer;
-  ow::save_trace_csv(original, buffer);
+  ow::save_trace(original, buffer);
   ow::ReplayWorkload a{original};
-  ow::ReplayWorkload b{ow::load_trace_csv(buffer)};
+  ow::ReplayWorkload b{ow::load_trace(buffer)};
   for (int e = 0; e < 15; ++e) {
     const auto sa = a.step();
     const auto sb = b.step();
@@ -58,7 +37,7 @@ TEST(TraceIo, ReplayOfLoadedTraceMatches) {
 
 TEST(TraceIo, FileRoundTrip) {
   const ow::RecordedTrace original = sample_trace(2, 5);
-  const std::string path = testing::TempDir() + "/odrl_trace_test.csv";
+  const std::string path = testing::TempDir() + "/odrl_trace_test.bin";
   ow::save_trace_file(original, path);
   const ow::RecordedTrace loaded = ow::load_trace_file(path);
   EXPECT_EQ(loaded.n_epochs(), 5u);
@@ -66,50 +45,38 @@ TEST(TraceIo, FileRoundTrip) {
   std::remove(path.c_str());
 }
 
-TEST(TraceIo, RejectsForbiddenLabels) {
-  ow::RecordedTrace trace(1, {"has,comma"});
-  trace.append_epoch({ow::PhaseSample{}});
-  std::stringstream buffer;
-  EXPECT_THROW(ow::save_trace_csv(trace, buffer), std::invalid_argument);
-}
-
 TEST(TraceIo, RejectsMalformedInput) {
+  // Anything that is not a snapshot frame -- garbage, an empty stream, or
+  // a well-formed artifact of the retired CSV format -- fails on the magic.
   auto expect_reject = [](const std::string& text) {
     std::stringstream in(text);
-    EXPECT_THROW(ow::load_trace_csv(in), std::runtime_error) << text;
+    try {
+      ow::load_trace(in);
+      FAIL() << "accepted: " << text;
+    } catch (const osn::SnapshotError& e) {
+      EXPECT_EQ(e.status(), osn::SnapshotStatus::kBadMagic) << text;
+    }
   };
   expect_reject("");
   expect_reject("not a trace\n");
-  expect_reject("# odrl-trace v1\nno-labels-row\n");
-  expect_reject("# odrl-trace v1\nlabels,a\nwrong,header\n");
-  // Truncated epoch (2 cores declared, one row).
+  expect_reject("ODRLSNA");  // a magic prefix is not the magic
   expect_reject(
-      "# odrl-trace v1\nlabels,a,b\nepoch,core,base_cpi,mpki,activity\n"
+      "# odrl-trace v1\nlabels,a\nepoch,core,base_cpi,mpki,activity\n"
       "0,0,1.0,2.0,0.5\n");
-  // Out-of-order rows.
-  expect_reject(
-      "# odrl-trace v1\nlabels,a\nepoch,core,base_cpi,mpki,activity\n"
-      "1,0,1.0,2.0,0.5\n");
-  // Bad number.
-  expect_reject(
-      "# odrl-trace v1\nlabels,a\nepoch,core,base_cpi,mpki,activity\n"
-      "0,0,xyz,2.0,0.5\n");
-  // Wrong arity.
-  expect_reject(
-      "# odrl-trace v1\nlabels,a\nepoch,core,base_cpi,mpki,activity\n"
-      "0,0,1.0,2.0\n");
-  // No data rows at all.
-  expect_reject(
-      "# odrl-trace v1\nlabels,a\nepoch,core,base_cpi,mpki,activity\n");
 }
 
 TEST(TraceIo, SaveSurfacesStreamFailure) {
-  // Regression: save_trace_csv must report a failed stream instead of
-  // silently emitting a truncated trace.
+  // save_trace must report a failed stream instead of silently emitting a
+  // truncated trace.
   const ow::RecordedTrace trace = sample_trace(1, 1);
   std::stringstream out;
   out.setstate(std::ios::badbit);
-  EXPECT_THROW(ow::save_trace_csv(trace, out), std::runtime_error);
+  try {
+    ow::save_trace(trace, out);
+    FAIL() << "bad stream accepted";
+  } catch (const osn::SnapshotError& e) {
+    EXPECT_EQ(e.status(), osn::SnapshotStatus::kIoError);
+  }
 }
 
 TEST(TraceIo, SaveFileSurfacesWriteFailure) {
@@ -143,17 +110,6 @@ TEST(TraceIoBinary, RoundTripPreservesEverything) {
       EXPECT_EQ(loaded.epoch(e)[c].activity, original.epoch(e)[c].activity);
     }
   }
-}
-
-TEST(TraceIoBinary, SniffStillLoadsLegacyCsv) {
-  const ow::RecordedTrace original = sample_trace(3, 7);
-  std::stringstream buffer;
-  ow::save_trace_csv(original, buffer);
-  const ow::RecordedTrace loaded = ow::load_trace(buffer);
-  ASSERT_EQ(loaded.n_cores(), 3u);
-  ASSERT_EQ(loaded.n_epochs(), 7u);
-  EXPECT_EQ(loaded.label(1), original.label(1));
-  EXPECT_EQ(loaded.epoch(6)[2].mpki, original.epoch(6)[2].mpki);
 }
 
 namespace {

@@ -4,9 +4,11 @@
 Two baselines live at the repo root and are regenerated deliberately, never
 by CI:
 
-  BENCH_kernels.json  -- bench/bench_kernels: per (kernel, cores) the scalar
-                         baseline and SIMD per-call times plus their ratio
-                         (`speedup`). The speedup is a within-machine ratio,
+  BENCH_kernels.json  -- bench/bench_kernels: per (kernel, cores) the
+                         baseline and optimized (`simd_ns`) per-call times
+                         plus their ratio (`speedup`): batch power vs the
+                         per-core PowerModel loop, thermal SIMD vs its
+                         force-scalar path. The speedup is a within-machine ratio,
                          so it transfers across machines; the raw ns do not.
   BENCH_e5.json       -- bench/bench_e5_scalability: per (controller, cores)
                          closed-loop throughput (epochs/s) and decide()

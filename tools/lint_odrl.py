@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Project-specific lint rules for the ODRL hot path.
 
-Nine rules -- six aimed at the zero-allocation span/SoA epoch data path
+Eight rules -- five aimed at the zero-allocation span/SoA epoch data path
 (DESIGN.md "Epoch data path" / "Correctness tooling"), three at the
 concurrency/determinism contracts (DESIGN.md "Thread-safety model &
 static analysis"); generic static analysis is clang-tidy's job
@@ -15,9 +15,9 @@ express:
 
   controller-must-decide-into
       Every sim::Controller subclass must implement decide_into() (the
-      in-place hot path). Overriding only the legacy vector-returning
-      decide() reintroduces a per-epoch allocation -- exactly the
-      regression the SoA refactor removed.
+      in-place hot path and the only decision entry point), in the class
+      body itself, so the per-epoch contract is visible where the
+      controller is defined.
 
   heap-in-hot-path
       Function definitions named *_into (step_into, decide_into,
@@ -25,13 +25,6 @@ express:
       the per-epoch hot path: no `new`, make_unique/make_shared, or local
       std::vector/std::string declarations inside them. Reused-capacity
       calls (resize/assign on members) are fine and not flagged.
-
-  legacy-decide
-      The vector-returning Controller::decide() and ManyCoreSystem::step()
-      bridges are retired; exactly one [[deprecated]] shim of each remains
-      for out-of-tree callers mid-migration. New in-tree calls must use
-      decide_into()/step_into() -- the shims allocate every epoch and the
-      compiler only warns, so this rule makes the warning a failure.
 
   raw-loop-reduction
       A scalar accumulator (`double x = 0;` ... `x += ...`) inside a
@@ -46,12 +39,11 @@ express:
       All worker threads belong to the work-stealing runtime
       (src/task/runtime.hpp): it owns parking, pinning, stealing and the
       deterministic-reduction contract. New code spawning `std::thread`,
-      launching through `std::async` or `pthread_create`, or resurrecting
-      the retired util::ThreadPool (now a deprecated shim over the
-      runtime) forks that ownership and escapes the runtime's counters
-      and shutdown drain -- the service layer (src/service/) in
-      particular must post sessions onto the runtime, never side-spawn.
-      Allowlist: the runtime's own implementation and the shim.
+      or launching through `std::async` or `pthread_create` forks that
+      ownership and escapes the runtime's counters and shutdown drain --
+      the service layer (src/service/) in particular must post sessions
+      onto the runtime, never side-spawn. Allowlist: the runtime's own
+      implementation.
       `std::thread::hardware_concurrency()` and other static member
       accesses never trip this.
 
@@ -105,12 +97,10 @@ STD_FUNCTION_ALLOWLIST = {
     "bench/bench_common.hpp",
 }
 
-# The one place allowed to own threads, plus the deprecated compatibility
-# shim that forwards onto it.
+# The one place allowed to own threads.
 RAW_THREAD_ALLOWLIST = {
     "src/task/runtime.hpp",
     "src/task/runtime.cpp",
-    "src/util/thread_pool.hpp",
 }
 
 # The annotated wrapper's own implementation: the only files allowed to
@@ -249,8 +239,7 @@ def check_decide_into(path: Path, text: str, raw_lines: list[str],
         findings.append(Finding(
             path, line, "controller-must-decide-into",
             f"{name} derives from sim::Controller but does not implement "
-            "decide_into(); the legacy decide() bridge allocates a vector "
-            "every epoch"))
+            "decide_into(), the only decision entry point"))
 
 
 HOT_DEF_RE = re.compile(
@@ -297,40 +286,11 @@ def check_heap_in_hot_path(path: Path, text: str, raw_lines: list[str],
                     "capacity"))
 
 
-# Member calls only: declarations and qualified definitions
-# (Controller::decide(...)) carry no `.`/`->` receiver, so the one
-# [[deprecated]] shim each in src/sim/controller.hpp / src/sim/system.hpp
-# never trips this. decide() is unique to Controller; step() also exists
-# on workloads and thermal models, so it is only flagged on system-shaped
-# receivers.
-LEGACY_DECIDE_RE = re.compile(r"(?:\.|->)\s*decide\s*\(")
-LEGACY_STEP_RE = re.compile(r"\b\w*[Ss]ystem\w*\s*(?:\.|->)\s*step\s*\(")
-
-
-def check_legacy_decide(path: Path, text: str, raw_lines: list[str],
-                        findings: list[Finding]):
-    hits = [(m, "Controller::decide()") for m in LEGACY_DECIDE_RE.finditer(text)]
-    hits += [(m, "ManyCoreSystem::step()")
-             for m in LEGACY_STEP_RE.finditer(text)]
-    for m, what in hits:
-        line = line_of(text, m.start())
-        if suppressed(raw_lines, line, "legacy-decide", findings, path):
-            continue
-        findings.append(Finding(
-            path, line, "legacy-decide",
-            f"call to the retired {what} bridge: it allocates a fresh "
-            "vector every epoch; use the *_into() in-place API "
-            "(snapshot-capable callers get it for free via "
-            "run_closed_loop)"))
-
-
 # Flags std::thread/std::jthread uses that are not static member accesses
-# (hardware_concurrency() is fine everywhere), any ThreadPool mention, and
-# the side-door spawners: std::async launches an unmanaged thread per call
+# (hardware_concurrency() is fine everywhere) and the side-door spawners: std::async launches an unmanaged thread per call
 # and pthread_create bypasses C++ entirely -- both escape the runtime's
 # counters and shutdown drain just as thoroughly as a raw std::thread.
 RAW_THREAD_RE = re.compile(r"\bstd::j?thread\b(?!\s*::)")
-THREAD_POOL_RE = re.compile(r"\bThreadPool\b")
 ASYNC_RE = re.compile(r"\bstd::async\s*[(<]")
 PTHREAD_CREATE_RE = re.compile(r"\bpthread_create\s*\(")
 
@@ -340,8 +300,6 @@ def check_raw_thread(path: Path, rel: str, text: str,
     if rel in RAW_THREAD_ALLOWLIST:
         return
     hits = [(m, "raw std::thread") for m in RAW_THREAD_RE.finditer(text)]
-    hits += [(m, "util::ThreadPool (retired)")
-             for m in THREAD_POOL_RE.finditer(text)]
     hits += [(m, "std::async") for m in ASYNC_RE.finditer(text)]
     hits += [(m, "pthread_create") for m in PTHREAD_CREATE_RE.finditer(text)]
     for m, what in sorted(hits, key=lambda h: h[0].start()):
@@ -475,7 +433,6 @@ def lint_file(path: Path, root: Path, findings: list[Finding]):
     check_std_function(path.relative_to(root), rel, text, raw_lines,
                        findings)
     check_decide_into(path.relative_to(root), text, raw_lines, findings)
-    check_legacy_decide(path.relative_to(root), text, raw_lines, findings)
     check_raw_thread(path.relative_to(root), rel, text, raw_lines, findings)
     check_raw_mutex(path.relative_to(root), rel, text, raw_lines, findings)
     check_nondeterminism(path.relative_to(root), rel, text, raw_lines,
