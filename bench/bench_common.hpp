@@ -24,6 +24,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "arch/chip_config.hpp"
@@ -143,6 +144,24 @@ inline std::vector<sim::RunResult> run_all(const arch::ChipConfig& chip,
         run_measured(chip, trace, *controller, epochs, warmup_epochs));
   }
   return results;
+}
+
+/// Writes the host fields every BENCH_*.json carries -- CPU count,
+/// compiler, build type and the SIMD kernel ISA -- as JSON members, each
+/// line ending in a comma. Two files are comparable only when these match;
+/// a worker-scaling row recorded on 1 CPU prices oversubscription.
+inline void write_host_fields(std::FILE* f) {
+#if defined(__clang__)
+  const char* compiler = "clang " __clang_version__;
+#elif defined(__GNUC__)
+  const char* compiler = "gcc " __VERSION__;
+#else
+  const char* compiler = "unknown";
+#endif
+  std::fprintf(f, "  \"cpus\": %u,\n", std::thread::hardware_concurrency());
+  std::fprintf(f, "  \"compiler\": \"%s\",\n", compiler);
+  std::fprintf(f, "  \"build_type\": \"%s\",\n", ODRL_BENCH_BUILD_TYPE);
+  std::fprintf(f, "  \"simd_arch\": \"%s\",\n", ODRL_BENCH_SIMD_ARCH);
 }
 
 inline void print_header(const char* experiment, const char* claim) {

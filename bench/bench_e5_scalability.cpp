@@ -11,13 +11,6 @@
 // Expected shape: OD-RL scales ~linearly with a tiny constant; MaxBIPS's
 // knapsack DP pays O(n * levels * bins) and lands 100x+ above OD-RL at 256+
 // cores; Greedy sits in between.
-//
-// The *Threads benchmarks sweep the deterministic parallel execution layer
-// (task::Runtime): step-only, decide-only and full-epoch wall time at a
-// fixed core count as a function of thread count. Results are bit-identical
-// across thread counts (tests/threading_test.cpp pins this), so the sweep
-// measures pure speedup. Run with e.g.
-//   ./bench/bench_e5_scalability --benchmark_filter=Threads
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -28,6 +21,7 @@
 #include <vector>
 
 #include "arch/chip_config.hpp"
+#include "bench_common.hpp"
 #include "sim/controller_registry.hpp"
 #include "sim/runner.hpp"
 #include "sim/system.hpp"
@@ -39,12 +33,10 @@ namespace {
 
 /// Builds a chip + one observed epoch at the given core count.
 struct Fixture {
-  explicit Fixture(std::size_t cores, sim::SimConfig sim = {})
+  explicit Fixture(std::size_t cores)
       : chip(arch::ChipConfig::make(cores, 0.6)),
-        system(chip,
-               std::make_unique<workload::GeneratedWorkload>(
-                   workload::GeneratedWorkload::mixed_suite(cores, 42)),
-               sim) {
+        system(chip, std::make_unique<workload::GeneratedWorkload>(
+                         workload::GeneratedWorkload::mixed_suite(cores, 42))) {
     const std::vector<std::size_t> levels(cores, chip.vf_table().size() / 2);
     system.step_into(levels, obs);
   }
@@ -93,70 +85,6 @@ void BM_PidDecide(benchmark::State& state) {
   run_decide_benchmark(state, [](const arch::ChipConfig& chip) {
     return sim::make_controller("PID", chip);
   });
-}
-
-// ---------------------------------------------------------------------
-// Thread-count sweeps: args = (cores, threads).
-
-sim::SimConfig threaded_sim(std::size_t threads) {
-  sim::SimConfig cfg;
-  cfg.threads = threads;
-  cfg.sensor_noise_rel = 0.05;  // exercise the per-core noise substreams
-  return cfg;
-}
-
-/// Simulator epoch (perf/power/thermal/sensors) wall time.
-void BM_StepThreads(benchmark::State& state) {
-  const auto cores = static_cast<std::size_t>(state.range(0));
-  const auto threads = static_cast<std::size_t>(state.range(1));
-  Fixture fx(cores, threaded_sim(threads));
-  const std::vector<std::size_t> levels(cores, fx.chip.vf_table().size() / 2);
-  sim::EpochResult obs;
-  for (auto _ : state) {
-    fx.system.step_into(levels, obs);
-    benchmark::DoNotOptimize(obs.true_chip_power_w);
-    benchmark::ClobberMemory();
-  }
-  state.counters["threads"] = static_cast<double>(threads);
-}
-
-/// OD-RL decide (per-core TD act/learn) wall time.
-void BM_OdrlDecideThreads(benchmark::State& state) {
-  const auto cores = static_cast<std::size_t>(state.range(0));
-  const auto threads = static_cast<std::size_t>(state.range(1));
-  Fixture fx(cores, threaded_sim(threads));
-  auto controller = sim::make_controller(
-      "OD-RL", fx.chip, {{"threads", std::to_string(threads)}});
-  std::vector<std::size_t> out(cores, 0);
-  controller->decide_into(fx.obs, out);
-  for (auto _ : state) {
-    controller->decide_into(fx.obs, out);
-    benchmark::DoNotOptimize(out.data());
-    benchmark::ClobberMemory();
-  }
-  state.counters["threads"] = static_cast<double>(threads);
-}
-
-/// One full control epoch: step + decide, the closed loop's unit of wall
-/// time. The 8-vs-1-thread ratio of this benchmark at 256 cores is the
-/// headline speedup of the parallel epoch engine.
-void BM_EpochThreads(benchmark::State& state) {
-  const auto cores = static_cast<std::size_t>(state.range(0));
-  const auto threads = static_cast<std::size_t>(state.range(1));
-  Fixture fx(cores, threaded_sim(threads));
-  auto controller = sim::make_controller(
-      "OD-RL", fx.chip, {{"threads", std::to_string(threads)}});
-  std::vector<std::size_t> levels = controller->initial_levels(cores);
-  std::vector<std::size_t> next(cores, 0);
-  sim::EpochResult obs;
-  for (auto _ : state) {
-    fx.system.step_into(levels, obs);
-    controller->decide_into(obs, next);
-    levels.swap(next);
-    benchmark::DoNotOptimize(levels.data());
-    benchmark::ClobberMemory();
-  }
-  state.counters["threads"] = static_cast<double>(threads);
 }
 
 // ---------------------------------------------------------------------
@@ -243,6 +171,7 @@ int write_bench_json() {
   }
   std::fprintf(f, "{\n  \"bench\": \"e5_scalability\",\n");
   std::fprintf(f, "  \"schema_version\": 1,\n");
+  bench::write_host_fields(f);
   std::fprintf(f, "  \"results\": [\n");
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const JsonRow& r = rows[i];
@@ -269,19 +198,6 @@ BENCHMARK(BM_GreedyDecide)->RangeMultiplier(2)->Range(16, 1024)->Complexity();
 // paper's point, and would also make this harness unreasonably slow.
 BENCHMARK(BM_MaxBipsDecide)->RangeMultiplier(2)->Range(16, 256)->Complexity();
 BENCHMARK(BM_PidDecide)->RangeMultiplier(2)->Range(16, 1024)->Complexity();
-
-// Thread sweeps at the paper's "hundreds of cores" operating point (plus a
-// 1024-core stress point for the full epoch). UseRealTime: the work happens
-// on pool workers, so CPU time of the driving thread would under-report.
-BENCHMARK(BM_StepThreads)
-    ->ArgsProduct({{256}, {1, 2, 4, 8}})
-    ->UseRealTime();
-BENCHMARK(BM_OdrlDecideThreads)
-    ->ArgsProduct({{256}, {1, 2, 4, 8}})
-    ->UseRealTime();
-BENCHMARK(BM_EpochThreads)
-    ->ArgsProduct({{256, 1024}, {1, 2, 4, 8}})
-    ->UseRealTime();
 
 // Custom main: the registered benchmarks run exactly as under
 // BENCHMARK_MAIN(), then the compact JSON sweep appends the cross-PR

@@ -26,12 +26,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "arch/chip_config.hpp"
 #include "arch/mesh.hpp"
 #include "arch/vf_table.hpp"
+#include "bench_common.hpp"
 #include "power/batch_power.hpp"
 #include "power/power_model.hpp"
 #include "thermal/thermal_model.hpp"
@@ -154,7 +154,7 @@ int write_json(const std::vector<Row>& rows) {
   std::fprintf(f, "  \"schema_version\": 1,\n");
   std::fprintf(f, "  \"simd_compiled\": %s,\n",
                util::simd_compiled() ? "true" : "false");
-  std::fprintf(f, "  \"cpus\": %u,\n", std::thread::hardware_concurrency());
+  bench::write_host_fields(f);
   std::fprintf(f, "  \"results\": [\n");
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];

@@ -17,6 +17,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "sim/multichip.hpp"
 
 using namespace odrl;
@@ -70,7 +71,7 @@ Row bench_cell(std::size_t chips, std::size_t cores, std::size_t workers) {
   return row;
 }
 
-int write_json(const std::vector<Row>& rows, unsigned cpus) {
+int write_json(const std::vector<Row>& rows) {
   const char* env = std::getenv("ODRL_BENCH_JSON");
   const std::string path = env ? env : "BENCH_multichip.json";
   if (path.empty()) return 0;
@@ -81,7 +82,7 @@ int write_json(const std::vector<Row>& rows, unsigned cpus) {
   }
   std::fprintf(f, "{\n  \"bench\": \"multichip\",\n");
   std::fprintf(f, "  \"schema_version\": 1,\n");
-  std::fprintf(f, "  \"cpus\": %u,\n", cpus);
+  bench::write_host_fields(f);
   std::fprintf(f, "  \"results\": [\n");
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
@@ -130,5 +131,5 @@ int main() {
                 static_cast<unsigned long long>(r.steals),
                 static_cast<unsigned long long>(r.overflows));
   }
-  return write_json(rows, cpus);
+  return write_json(rows);
 }

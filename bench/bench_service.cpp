@@ -19,6 +19,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "service/client.hpp"
 #include "service/server.hpp"
 
@@ -91,7 +92,7 @@ Row bench_cell(std::size_t sessions, std::size_t workers) {
   return row;
 }
 
-int write_json(const std::vector<Row>& rows, unsigned cpus) {
+int write_json(const std::vector<Row>& rows) {
   const char* env = std::getenv("ODRL_BENCH_JSON");
   const std::string path = env ? env : "BENCH_service.json";
   if (path.empty()) return 0;
@@ -102,7 +103,7 @@ int write_json(const std::vector<Row>& rows, unsigned cpus) {
   }
   std::fprintf(f, "{\n  \"bench\": \"service\",\n");
   std::fprintf(f, "  \"schema_version\": 1,\n");
-  std::fprintf(f, "  \"cpus\": %u,\n", cpus);
+  bench::write_host_fields(f);
   std::fprintf(f, "  \"results\": [\n");
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
@@ -116,6 +117,7 @@ int write_json(const std::vector<Row>& rows, unsigned cpus) {
                  i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
+  std::fclose(f);
   std::printf("BENCH_service: wrote %s (%zu rows)\n", path.c_str(),
               rows.size());
   return 0;
@@ -143,5 +145,5 @@ int main() {
                 r.cores, r.workers, r.epochs, r.wall_s, r.epochs_per_s,
                 static_cast<unsigned long long>(r.requests));
   }
-  return write_json(rows, cpus);
+  return write_json(rows);
 }

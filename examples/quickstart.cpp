@@ -7,7 +7,7 @@
 // pass --controller to swap the one under test.
 //
 //   ./quickstart [--cores=16] [--epochs=2000] [--budget=0.6] [--seed=1]
-//                [--threads=1] [--controller=OD-RL]
+//                [--controller=OD-RL]
 //                [--chips=1] [--workers=1]
 //                [--serve[=port]] [--serve-idle-polls=n]
 //                [--faults=storm.txt | --fault-storm-seed=7] [--watchdog]
@@ -16,9 +16,6 @@
 //                [--save-snapshot=run.snap --snapshot-epoch=n]
 //                [--load-snapshot=run.snap]
 //                [--swap='epoch:controller[:k=v,...][;epoch:...]']
-//
-// --threads shards the per-core epoch and TD loops across a worker pool
-// (0 = hardware concurrency). Results are bit-identical for every value.
 //
 // --chips=N > 1 switches to multi-chip fleet mode: N independent chips
 // (per-chip seed substreams forked from --seed, see sim/multichip.hpp)
@@ -151,7 +148,6 @@ bool parse_swaps(const std::string& spec, std::vector<sim::SwapEvent>& out) {
 sim::RunResult run_one(const arch::ChipConfig& chip,
                        const workload::RecordedTrace& trace,
                        sim::Controller& controller, std::size_t epochs,
-                       std::size_t threads,
                        telemetry::Recorder* recorder = nullptr,
                        const sim::FaultSchedule* faults = nullptr,
                        bool watchdog = false,
@@ -163,7 +159,6 @@ sim::RunResult run_one(const arch::ChipConfig& chip,
   // ramp itself is examined in bench_e6_convergence).
   run_cfg.warmup_epochs = epochs;
   run_cfg.epochs = epochs;
-  run_cfg.threads = threads;
   run_cfg.recorder = recorder;
   run_cfg.faults = faults;
   run_cfg.watchdog.enabled = watchdog;
@@ -332,7 +327,6 @@ int main(int argc, char** argv) {
   const auto epochs = static_cast<std::size_t>(args.get_int("epochs", 2000));
   const double budget_fraction = args.get_double("budget", 0.6);
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
-  const auto threads = static_cast<std::size_t>(args.get_int("threads", 1));
   const std::string controller_name = args.get("controller", "OD-RL");
 
   if (args.has("serve")) return run_serve(args);
@@ -428,7 +422,7 @@ int main(int argc, char** argv) {
 
   sim::RunResult main_run;
   try {
-    main_run = run_one(chip, trace, *main_ctl, epochs, threads, &recorder,
+    main_run = run_one(chip, trace, *main_ctl, epochs, &recorder,
                        inject ? &faults : nullptr, watchdog, &snap);
   } catch (const snapshot::SnapshotError& e) {
     std::fprintf(stderr, "error: snapshot rejected (%s): %s\n",
@@ -465,7 +459,7 @@ int main(int argc, char** argv) {
         s.epochs_before, s.epochs_after);
   }
   const sim::RunResult static_run =
-      run_one(chip, trace, *static_ctl, epochs, threads, nullptr,
+      run_one(chip, trace, *static_ctl, epochs, nullptr,
               inject ? &faults : nullptr, watchdog);
 
   const sim::RunResult runs[] = {main_run, static_run};

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <istream>
+#include <memory>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -63,9 +64,10 @@ std::vector<std::size_t> state_dims(const OdrlConfig& config,
   return {config.headroom_bins, config.mem_bins};
 }
 
-/// Chunk size for the sharded TD loop; fixed so the reward-sum reduction
-/// tree depends only on the core count, never on the thread count.
-constexpr std::size_t kTdGrain = 32;
+/// Block size of the reward sum: each block's rewards fold in core order,
+/// then the block partials fold in block order. That tree is the golden
+/// summation order the committed digests were recorded with.
+constexpr std::size_t kRewardBlock = 32;
 
 /// Relative tolerance for detecting a *real* budget move in the observed
 /// chip budget. on_budget_change rescales every per-core allocation, so
@@ -88,7 +90,6 @@ OdrlController::OdrlController(const arch::ChipConfig& chip, OdrlConfig config)
       states_(state_dims(config, chip.vf_table().size())),
       chip_budget_w_(chip.tdp_w()) {
   config_.validate();
-  runtime_ = std::make_shared<task::Runtime>(config_.threads);
   util::Rng root(config_.seed);
   agents_.reserve(n_cores_);
   rngs_.reserve(n_cores_);
@@ -196,8 +197,8 @@ void OdrlController::decide_into(const sim::EpochResult& obs,
   if (obs.cores.size() != n_cores_ || out.size() != n_cores_) {
     throw std::invalid_argument("OdrlController::decide: size mismatch");
   }
-  // Contract: the out-span we are about to fill from the sharded TD loop
-  // must not alias the observation columns that same loop reads.
+  // Contract: the out-span we are about to fill from the TD loop must not
+  // alias the observation columns that same loop reads.
   ODRL_VALIDATE(sim::validate_out_span(obs, out));
 
   // Track budget moved by the runner (power-cap events reach us through
@@ -289,24 +290,22 @@ void OdrlController::decide_into(const sim::EpochResult& obs,
     }
   }
 
-  // Fine grain: per-core TD step, sharded across the task runtime. Each
-  // core owns its agent, exploration stream and bookkeeping slots, so the
-  // loop is embarrassingly parallel; the reward sum is reduced over
-  // chunk-ordered partials and stays bit-identical for every thread count.
-  const double reward_sum = runtime_->parallel_reduce(
-      n_cores_, kTdGrain, 0.0,
-      [&](std::size_t begin, std::size_t end) {
-        return td_chunk(obs, out, begin, end);
-      },
-      [](double acc, double partial) { return acc + partial; },
-      reward_partials_);
+  // Fine grain: per-core TD step. Each core owns its agent, exploration
+  // stream and bookkeeping slots; the reward sum folds per kRewardBlock
+  // block (the golden summation order).
+  double reward_sum = 0.0;
+  for (std::size_t begin = 0; begin < n_cores_; begin += kRewardBlock) {
+    const std::size_t end = std::min(n_cores_, begin + kRewardBlock);
+    // lint: allow(raw-loop-reduction): golden order, block partials
+    reward_sum += td_block(obs, out, begin, end);
+  }
   if (have_prev_) {
     last_mean_reward_ = reward_sum / static_cast<double>(n_cores_);
   }
   have_prev_ = true;
 }
 
-double OdrlController::td_chunk(const sim::EpochResult& obs,
+double OdrlController::td_block(const sim::EpochResult& obs,
                                 std::span<std::size_t> out,
                                 std::size_t begin, std::size_t end) {
   const std::span<const std::size_t> obs_level = obs.cores.level();
@@ -358,19 +357,6 @@ void OdrlController::on_budget_change(double new_budget_w) {
   const double scale = new_budget_w / chip_budget_w_;
   for (double& b : budgets_) b *= scale;
   chip_budget_w_ = new_budget_w;
-}
-
-void OdrlController::set_threads(std::size_t threads) {
-  config_.threads = threads;
-  runtime_ = std::make_shared<task::Runtime>(threads);
-}
-
-void OdrlController::set_runtime(std::shared_ptr<task::Runtime> runtime) {
-  if (!runtime) {
-    throw std::invalid_argument("OdrlController::set_runtime: null runtime");
-  }
-  config_.threads = runtime->size();
-  runtime_ = std::move(runtime);
 }
 
 void OdrlController::reset() {
@@ -588,7 +574,6 @@ std::unique_ptr<sim::Controller> make_odrl(
   cfg.overcommit_min = ov.get_double("overcommit_min", cfg.overcommit_min);
   cfg.overcommit_max = ov.get_double("overcommit_max", cfg.overcommit_max);
   cfg.seed = ov.get_u64("seed", cfg.seed);
-  cfg.threads = ov.get_size("threads", cfg.threads);
   return std::make_unique<OdrlController>(chip, cfg);
 }
 

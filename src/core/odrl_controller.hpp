@@ -22,7 +22,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -31,7 +30,6 @@
 #include "rl/agent.hpp"
 #include "rl/discretizer.hpp"
 #include "sim/controller.hpp"
-#include "task/runtime.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 
@@ -109,13 +107,6 @@ struct OdrlConfig {
   double overcommit_max = 2.00;
   std::uint64_t seed = 7;            ///< exploration stream seed
 
-  /// Execution width of the per-core TD act/learn loop (agents and their
-  /// exploration streams are per-core, so the loop is embarrassingly
-  /// parallel). 1 = serial (default), 0 = hardware concurrency. Decisions
-  /// are bit-identical for every value. The coarse-grain reallocation and
-  /// the EMA/reward reductions stay serial (see DESIGN.md).
-  std::size_t threads = 1;
-
   void validate() const;
 };
 
@@ -129,8 +120,6 @@ class OdrlController final : public sim::Controller {
                    std::span<std::size_t> out) override;
   void on_budget_change(double new_budget_w) override;
   void reset() override;
-  void set_threads(std::size_t threads) override;
-  void set_runtime(std::shared_ptr<task::Runtime> runtime) override;
 
   /// Snapshot hooks (see snapshot/snapshot.hpp): serialize/restore every
   /// field decide_into carries across epochs -- each core's agent (table,
@@ -178,9 +167,9 @@ class OdrlController final : public sim::Controller {
   /// achieved, in (0, 1]: a stationary, counter-derived normalizer.
   double attainment(double mem_stall_frac, std::size_t level) const;
 
-  /// One TD-loop chunk [begin, end): the fused per-core act/learn/
-  /// bookkeeping loop, returning the chunk's reward partial.
-  double td_chunk(const sim::EpochResult& obs, std::span<std::size_t> out,
+  /// One TD-loop block [begin, end): the fused per-core act/learn/
+  /// bookkeeping loop, returning the block's reward partial.
+  double td_block(const sim::EpochResult& obs, std::span<std::size_t> out,
                   std::size_t begin, std::size_t end);
 
   OdrlConfig config_;
@@ -191,9 +180,6 @@ class OdrlController final : public sim::Controller {
   rl::StateSpace states_;
   std::vector<rl::TdAgent> agents_;
   std::vector<util::Rng> rngs_;
-  /// Shards the TD loop; shared when installed by set_runtime()
-  /// (multi-chip), private otherwise.
-  std::shared_ptr<task::Runtime> runtime_;
 
   std::vector<double> budgets_;          ///< current per-core budgets
   std::vector<util::Ema> power_ema_;     ///< smoothed per-core power
@@ -204,7 +190,6 @@ class OdrlController final : public sim::Controller {
   std::vector<CoreDemand> demands_;        ///< reallocation inputs
   std::vector<double> realloc_target_;     ///< reallocation outputs
   std::vector<double> realloc_scratch_;    ///< reallocator internal scratch
-  std::vector<double> reward_partials_;    ///< TD-loop reduce partials
 
   // Previous-epoch transition bookkeeping (s, a) per core.
   std::vector<std::size_t> prev_state_;

@@ -45,8 +45,7 @@ class BatchPowerModel {
   /// Writes total core power (dynamic + leakage + uncore, exactly
   /// PowerBreakdown::total_w()'s summation order) for cores [begin, end)
   /// into out_w[i]. Inputs are indexed by absolute core id; slots outside
-  /// [begin, end) are untouched, so sharded callers can fill disjoint
-  /// ranges concurrently. Zero heap allocations.
+  /// [begin, end) are untouched. Zero heap allocations.
   void core_power_into(std::size_t begin, std::size_t end,
                        std::span<const std::size_t> level,
                        std::span<const workload::PhaseSample> phases,

@@ -12,7 +12,6 @@ namespace {
 sim::ManyCoreSystem make_tenant_system(const TenantConfig& config) {
   sim::SimConfig sim;
   sim.seed = config.seed;
-  sim.threads = 1;
   return sim::ManyCoreSystem(
       arch::ChipConfig::make(config.cores, config.budget_fraction),
       std::make_unique<workload::GeneratedWorkload>(

@@ -264,9 +264,6 @@ Message Server::handle_open(const OpenSessionRequest& req) {
   }
   std::unique_ptr<sim::Controller> controller =
       sim::make_controller(req.controller, chip, overrides);
-  // Width 1 pins the per-session decision stream: worker count varies the
-  // interleaving across sessions, never the decisions within one.
-  controller->set_threads(1);
 
   if (!req.seed_blob.empty()) {
     // Warm start from any blob carrying the runner-format CTRL section --

@@ -12,15 +12,15 @@
 //     in request order, pipelining included.
 //   * handle() -- decode, dispatch, encode -- is the synchronous core.
 //     Drain tasks never block on other tasks and sessions never submit
-//     nested work (session controllers run at width 1), so a worker is
-//     never parked inside a handler: the server cannot deadlock itself.
+//     nested work (controllers decide serially), so a worker is never
+//     parked inside a handler: the server cannot deadlock itself.
 //   * With a width-1 runtime the drain runs inline in post()'s caller
 //     (the runtime spawns no workers at width 1), which keeps a
 //     single-threaded server live without a pump thread.
 //
 // Determinism: each session's decision stream depends only on its own
 // request sequence -- per-connection FIFO plus a per-session lock plus
-// width-1 controllers means worker count changes *interleaving across
+// serial controllers means worker count changes *interleaving across
 // sessions*, never the decisions of any one session. The soak test pins
 // this: 256 sessions, workers 1/2/4, bit-identical level streams.
 //

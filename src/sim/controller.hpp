@@ -69,25 +69,17 @@ class Controller {
   virtual void save_state(snapshot::Writer& w) const;
   virtual void load_state(snapshot::Reader& r);
 
-  /// Requests an execution width for decide_into() (1 = serial, 0 =
-  /// hardware concurrency). Controllers whose decision loop is
-  /// parallelizable (OD-RL's per-core TD loop) honor it; the contract is
-  /// that results are bit-identical for every width. Default: ignore
-  /// (serial controllers).
+  /// No-ops: decide_into() runs serially, and no controller overrides
+  /// these. Kept only because the frozen perfbench/ tree's timing wrapper
+  /// overrides them; they go with the next change to that benchmark.
   virtual void set_threads(std::size_t /*threads*/) {}
-
-  /// Shares an externally owned task runtime for decide_into()'s
-  /// parallel loops (MultiChipRun installs one runtime across every
-  /// chip's system *and* controller). Same bit-identity contract as
-  /// set_threads(); a later set_threads() reverts to a private runtime.
-  /// Default: ignore (serial controllers never submit tasks).
   virtual void set_runtime(std::shared_ptr<task::Runtime> /*runtime*/) {}
 
   /// Attaches (or, with nullptr, detaches) a telemetry recorder. The runner
   /// calls this at run start/end with RunConfig::recorder; the recorder
   /// must outlive the run. Controllers emit internal signals (e.g. OD-RL's
-  /// reallocation events) through it, from decide_into()'s serial sections
-  /// only, and must never let recording alter their decisions -- runs are
+  /// reallocation events) through it, and must never let recording alter
+  /// their decisions -- runs are
   /// bit-identical with telemetry on or off. The default keeps the pointer
   /// for subclasses; override to forward (adapters) or add instruments.
   virtual void set_recorder(telemetry::Recorder* recorder) {

@@ -11,8 +11,8 @@
 // Determinism contract (PR-1): every engine mutation happens either in
 // the step's serial prologue (begin_epoch, apply_actuation) or in
 // per-core slots touched only by that core's loop iteration (the sensor
-// filters and their stuck-at-last state), so fault runs are bit-identical
-// across thread counts. random_storm() draws each core's fault stream
+// filters and their stuck-at-last state), so fault runs are deterministic
+// and resume bit-identically. random_storm() draws each core's fault stream
 // from a SplitMix64 substream that is a pure function of (seed, core) --
 // the generated schedule never depends on core iteration order.
 //
@@ -164,9 +164,8 @@ struct FaultCounts {
 /// Replays a FaultSchedule against a running system. All state is
 /// preallocated at construction; begin_epoch()/apply_actuation() run in
 /// the step's serial prologue and the filter_*() hooks touch only
-/// core-private slots, so attaching an engine never breaks the
-/// bit-identical-across-threads contract (and never allocates on the
-/// epoch path).
+/// core-private slots, so attaching an engine keeps runs deterministic
+/// (and never allocates on the epoch path).
 class FaultEngine {
  public:
   /// Validates the schedule against `n_cores` and sizes all state.
@@ -203,9 +202,8 @@ class FaultEngine {
   /// true aggregate identities are relaxed while sensors lie.
   bool any_sensor_fault() const noexcept { return sensor_active_ > 0; }
 
-  /// Per-core sensor filters, called from the parallel per-core loop.
-  /// Each touches only core i's stuck-at-last slot -- safe and
-  /// deterministic at any thread count.
+  /// Per-core sensor filters, called from the per-core epoch loop. Each
+  /// touches only core i's stuck-at-last slot.
   double filter_ips(std::size_t i, double measured);
   double filter_power(std::size_t i, double measured);
 

@@ -67,11 +67,7 @@ void MultiChipConfig::validate(std::span<const ChipSpec> chips) const {
     if (spec.system == nullptr || spec.controller == nullptr) {
       throw std::invalid_argument(at + ": null system or controller");
     }
-    if (spec.config.threads != 0 || spec.config.runtime != nullptr) {
-      throw std::invalid_argument(
-          at + ": per-chip threads/runtime must be unset (the fleet "
-               "installs one shared runtime)");
-    }
+    spec.config.validate();
     if ((snapshot_out != nullptr || resume_snapshot != nullptr) &&
         (spec.config.snapshot_out != nullptr ||
          spec.config.resume_snapshot != nullptr)) {
@@ -169,13 +165,12 @@ MultiChipResult run_multichip(std::span<ChipSpec> chips,
     }
   }
 
-  // Effective per-chip run configs: shared runtime plus the fleet's
-  // snapshot/resume plumbing. The spec's config is copied, never mutated.
+  // Effective per-chip run configs: the fleet's snapshot/resume plumbing.
+  // The spec's config is copied, never mutated.
   std::vector<RunConfig> run_configs(n);
   std::vector<std::string> capture_blobs(n);
   for (std::size_t i = 0; i < n; ++i) {
     run_configs[i] = chips[i].config;
-    run_configs[i].runtime = runtime;
     if (config.snapshot_out != nullptr) {
       run_configs[i].snapshot_epoch = config.snapshot_epoch;
       run_configs[i].snapshot_out = &capture_blobs[i];

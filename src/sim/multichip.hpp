@@ -1,18 +1,17 @@
-// Multi-chip sharded simulation: N independent chips -- each its own
+// Multi-chip fleet simulation: N independent chips -- each its own
 // ManyCoreSystem, controller, fault schedule and RNG substreams -- stepped
 // concurrently as whole-run tasks on ONE shared task runtime
 // (task/runtime.hpp). Chips never interact physically; what they share is
-// the worker fleet, so a chip whose epoch loop stalls (e.g. a serial
-// controller) donates its idle workers to siblings via work stealing.
+// the worker fleet. Each chip's epoch runs serially on whichever worker
+// claimed its task, so the chip is the unit of parallelism.
 //
 // Determinism: every chip's run is bit-identical to running it alone
-// (run_closed_loop's own contract -- chunk boundaries and reduction order
-// are pure functions of (n, grain), never of which worker executed what),
-// and results/aggregates are assembled in chip-index order on the calling
+// (run_closed_loop touches only that chip's state, in a fixed order), and
+// results/aggregates are assembled in chip-index order on the calling
 // thread after all chips complete. A fleet run is therefore bit-identical
 // across worker counts, pinning, and scheduling jitter.
 //
-// Snapshot frame (see DESIGN.md "Task runtime & multi-chip sharding"):
+// Snapshot frame (see DESIGN.md "Task runtime & multi-chip fleets"):
 // a multi-chip snapshot is one versioned blob with an MCHD header section
 // (chip count + capture epoch) followed by one CHnn section per chip, each
 // embedding that chip's standard single-run snapshot (RUNR/SYST/FLTE/CTRL)
@@ -45,8 +44,7 @@ inline constexpr std::uint32_t kSnapshotMultiChipTag =
 std::uint32_t chip_section_tag(std::size_t chip);
 
 /// One chip of a fleet: non-owning system/controller plus that chip's run
-/// configuration. `config.threads` and `config.runtime` must be unset --
-/// run_multichip installs the shared fleet runtime itself. `config`'s
+/// configuration, validated before any chip starts. `config`'s
 /// snapshot fields must likewise be unset when the *fleet-level* snapshot
 /// fields of MultiChipConfig are used (the frame owns every chip's blob).
 struct ChipSpec {

@@ -49,9 +49,9 @@ void RunConfig::validate() const {
     throw std::invalid_argument(
         "RunConfig: snapshot_epoch beyond the measured region");
   }
-  if (threads != 0 && runtime != nullptr) {
+  if (threads > 1) {
     throw std::invalid_argument(
-        "RunConfig: threads and runtime are mutually exclusive");
+        "RunConfig: threads must be 0 or 1 (a chip steps serially)");
   }
   watchdog.validate();
 }
@@ -120,18 +120,6 @@ RunResult run_closed_loop(ManyCoreSystem& system, Controller& controller,
 
   RunResult result;
   result.epoch_s = system.epoch_s();
-
-  if (config.threads != 0) {
-    system.set_threads(config.threads);
-    controller.set_threads(config.threads);
-  }
-  if (config.runtime) {
-    system.set_runtime(config.runtime);
-    controller.set_runtime(config.runtime);
-  }
-  // Runtime counters are reported as this run's delta; the shared
-  // multi-chip runtime accumulates across every chip it drives.
-  const task::RuntimeStats runtime_stats0 = system.runtime().stats();
 
   // Telemetry attach. `rec` stays null when no sink is listening, so every
   // emission below is skipped with one branch -- recording only observes,
@@ -257,8 +245,6 @@ RunResult run_closed_loop(ManyCoreSystem& system, Controller& controller,
       swapped_in.push_back(ControllerRegistry::instance().make(
           sw.controller, system.config(), sw.overrides));
       active = swapped_in.back().get();
-      if (config.threads != 0) active->set_threads(config.threads);
-      if (config.runtime) active->set_runtime(config.runtime);
       active->set_recorder(rec);
     }
 
@@ -454,8 +440,6 @@ RunResult run_closed_loop(ManyCoreSystem& system, Controller& controller,
       std::unique_ptr<Controller> incoming =
           ControllerRegistry::instance().make(sw.controller, system.config(),
                                               sw.overrides);
-      if (config.threads != 0) incoming->set_threads(config.threads);
-      if (config.runtime) incoming->set_runtime(config.runtime);
       incoming->set_recorder(rec);
       incoming->on_budget_change(system.budget_w());
       if (sw.seed_snapshot != nullptr) {
@@ -592,24 +576,6 @@ RunResult run_closed_loop(ManyCoreSystem& system, Controller& controller,
       rec->counter("faults.actuation").add(counts.actuation);
       rec->counter("faults.budget").add(counts.budget);
       rec->counter("faults.hotplug").add(counts.hotplug);
-    }
-    // Task-runtime counters, as this run's delta. Observational and (for
-    // a runtime shared across concurrently stepped chips) approximate --
-    // sibling chips' tasks land in the same totals; MultiChipRun reports
-    // the fleet-wide figures itself.
-    {
-      const task::RuntimeStats ts = system.runtime().stats();
-      rec->counter("task.executed")
-          .add(ts.tasks_executed - runtime_stats0.tasks_executed);
-      rec->counter("task.steals").add(ts.steals - runtime_stats0.steals);
-      rec->counter("task.overflows")
-          .add(ts.overflows - runtime_stats0.overflows);
-      rec->counter("task.worker_parks")
-          .add(ts.worker_parks - runtime_stats0.worker_parks);
-      rec->counter("task.wait_parks")
-          .add(ts.wait_parks - runtime_stats0.wait_parks);
-      rec->gauge("task.max_queue_depth")
-          .set(static_cast<double>(ts.max_queue_depth));
     }
     if (wd.enabled) {
       rec->counter("watchdog.invalid_decisions")

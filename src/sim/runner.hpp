@@ -124,25 +124,17 @@ struct RunConfig {
   std::vector<BudgetEvent> budget_events;
   bool keep_traces = true;  ///< record per-epoch chip traces
 
-  /// Execution width handed to the system and controller for this run
-  /// (ManyCoreSystem::set_threads / Controller::set_threads). 0 = leave
-  /// both as configured (default); 1 = force serial; n = n-wide. Results
-  /// are bit-identical for every value. Mutually exclusive with
-  /// `runtime`.
+  /// 0 or 1; validate() refuses a wider request, because a chip steps
+  /// serially (parallelism lives across chips in run_multichip). Kept
+  /// only because the frozen perfbench/ tree sets it; it goes with the
+  /// next change to that benchmark.
   std::size_t threads = 0;
-
-  /// Shared task runtime installed on the system and controller (and any
-  /// hot-swapped replacement) for this run. MultiChipRun sets this so
-  /// every chip's per-core chunks land on one worker fleet; a null
-  /// pointer (default) leaves each component on its own runtime. Results
-  /// are bit-identical either way. Mutually exclusive with `threads`.
-  std::shared_ptr<task::Runtime> runtime;
 
   /// Optional telemetry recorder (non-owning; must outlive the run). The
   /// runner threads it through the system and controller, emits per-epoch
   /// records, decide()-latency histograms and budget events, and detaches
   /// it when the run ends. Recording is purely observational: RunResults
-  /// are bit-identical with and without a recorder, at any thread count.
+  /// are bit-identical with and without a recorder.
   telemetry::Recorder* recorder = nullptr;
 
   /// Optional fault schedule (non-owning; must outlive the run). The
@@ -169,7 +161,7 @@ struct RunConfig {
   /// Resume: when non-null, the run restores from this blob instead of
   /// starting fresh. The system and controller passed to run_closed_loop
   /// must be freshly constructed from the same configuration as the run
-  /// that captured the snapshot (same chip, workload, schedules, threads);
+  /// that captured the snapshot (same chip, workload and schedules);
   /// warmup and epoch-0 budget pre-application are skipped and the
   /// measured loop continues from the captured epoch. Malformed or
   /// mismatched blobs throw snapshot::SnapshotError. Non-owning; must

@@ -7,20 +7,26 @@
 #include "sim/validate.hpp"
 #include "snapshot/snapshot.hpp"
 #include "snapshot/state_io.hpp"
+#include "task/runtime.hpp"
 #include "util/check.hpp"
 
 namespace odrl::sim {
 
 namespace {
-// Chunk sizes for the sharded per-core loops. Fixed constants: the chunk
-// layout (and therefore the floating-point reduction tree) must depend
-// only on the core count, never on the thread count.
-constexpr std::size_t kCoreGrain = 32;     ///< perf/power/observation loop
-constexpr std::size_t kTrafficGrain = 64;  ///< DRAM traffic sum (cheaper)
+// Block sizes of the chip-level sums. Each sum folds its block's cores in
+// index order, then folds the block partials in block order: that
+// two-level tree is the golden summation order every committed digest
+// was recorded with, so these constants are part of the digest contract.
+constexpr std::size_t kSumBlock = 32;      ///< power and IPS sums
+constexpr std::size_t kTrafficBlock = 64;  ///< DRAM traffic sum
 }  // namespace
 
 void SimConfig::validate() const {
   if (epoch_s <= 0.0) throw std::invalid_argument("SimConfig: epoch_s <= 0");
+  if (threads != 1) {
+    throw std::invalid_argument(
+        "SimConfig: threads must be 1 (a chip steps serially)");
+  }
   if (sensor_noise_rel < 0.0 || sensor_noise_rel > 0.5) {
     throw std::invalid_argument(
         "SimConfig: sensor_noise_rel must be in [0, 0.5]");
@@ -46,14 +52,12 @@ ManyCoreSystem::ManyCoreSystem(arch::ChipConfig config,
                            : arch::VariationMap::none(config_.n_cores())),
       thermal_(config_.mesh(), config_.thermal()),
       dram_(sim.dram),
-      runtime_(std::make_shared<task::Runtime>(sim.threads)),
       tile_power_(config_.mesh().size(), 0.0),
       budget_w_(config_.tdp_w()) {
   sim_.validate();
   // Counter-based noise substreams: core i is seeded with the (i+1)-th
   // output of SplitMix64(seed), so its stream depends only on (seed, i) --
-  // not on the chip's core count, the other cores' draws, or the thread
-  // count. This is what makes the parallel epoch loop deterministic.
+  // not on the chip's core count or the other cores' draws.
   noise_rngs_.reserve(config_.n_cores());
   util::SplitMix64 noise_seeder(sim_.seed);
   for (std::size_t i = 0; i < config_.n_cores(); ++i) {
@@ -117,20 +121,10 @@ double ManyCoreSystem::noisy(std::size_t core, double value) {
                               0.0, sim_.sensor_noise_rel)));
 }
 
-void ManyCoreSystem::set_threads(std::size_t threads) {
-  sim_.threads = threads;
-  runtime_ = std::make_shared<task::Runtime>(threads);
+const task::Runtime& ManyCoreSystem::runtime() const {
+  static const task::Runtime idle(1);
+  return idle;
 }
-
-void ManyCoreSystem::set_runtime(std::shared_ptr<task::Runtime> runtime) {
-  if (!runtime) {
-    throw std::invalid_argument("ManyCoreSystem::set_runtime: null runtime");
-  }
-  sim_.threads = runtime->size();
-  runtime_ = std::move(runtime);
-}
-
-std::size_t ManyCoreSystem::threads() const { return runtime_->size(); }
 
 void ManyCoreSystem::set_fault_engine(FaultEngine* engine) {
   if (engine != nullptr && engine->n_cores() != config_.n_cores()) {
@@ -175,32 +169,28 @@ void ManyCoreSystem::step_into(std::span<const std::size_t> levels,
   const std::span<const workload::PhaseSample> samples = workload_->step();
 
   // Shared-memory contention: fixed point of the chip's aggregate miss
-  // traffic against the queueing latency multiplier. The per-core traffic
-  // terms are independent, so each solver iteration shards the sum across
-  // the runtime (chunk-ordered partials keep the result bit-identical for
-  // every thread count).
+  // traffic against the queueing latency multiplier.
   double mem_scale = 1.0;
   double dram_util = 0.0;
   if (dram_.enabled()) {
     auto traffic_at = [&](double m) {
-      return runtime_->parallel_reduce(
-          n, kTrafficGrain, 0.0,
-          [&](std::size_t begin, std::size_t end) {
-            double bytes_per_s = 0.0;
-            for (std::size_t i = begin; i < end; ++i) {
-              // Power-gated cores issue no memory traffic.
-              if (faults_ != nullptr && faults_->core_offline(i)) continue;
-              const double ips =
-                  perf_[i].ips(samples[i], vf[levels[i]].freq_ghz, m);
-              // parallel_reduce folds the partials in fixed chunk order.
-              // lint: allow(raw-loop-reduction): chunk partial
-              bytes_per_s +=
-                  ips * samples[i].mpki / 1000.0 * dram_.config().line_bytes;
-            }
-            return bytes_per_s;
-          },
-          [](double acc, double partial) { return acc + partial; },
-          traffic_partials_);
+      double bytes_per_s = 0.0;
+      for (std::size_t begin = 0; begin < n; begin += kTrafficBlock) {
+        const std::size_t end = std::min(n, begin + kTrafficBlock);
+        double block_bytes_per_s = 0.0;
+        for (std::size_t i = begin; i < end; ++i) {
+          // Power-gated cores issue no memory traffic.
+          if (faults_ != nullptr && faults_->core_offline(i)) continue;
+          const double ips =
+              perf_[i].ips(samples[i], vf[levels[i]].freq_ghz, m);
+          // lint: allow(raw-loop-reduction): golden order, in-block fold
+          block_bytes_per_s +=
+              ips * samples[i].mpki / 1000.0 * dram_.config().line_bytes;
+        }
+        // lint: allow(raw-loop-reduction): golden order, block partials
+        bytes_per_s += block_bytes_per_s;
+      }
+      return bytes_per_s;
     };
     mem_scale = dram_.solve_multiplier(traffic_at);
     dram_util = dram_.utilization(traffic_at(mem_scale));
@@ -225,91 +215,88 @@ void ManyCoreSystem::step_into(std::span<const std::size_t> levels,
 
   std::fill(tile_power_.begin(), tile_power_.end(), 0.0);
 
-  // Per-core perf/power/observation loop, sharded across the task runtime. Every
-  // core touches only its own models, noise substream and output slots;
-  // the three chip-level sums are reduced over chunk-ordered partials, so
-  // the additions happen in a fixed tree regardless of thread count.
-  const StepSums sums = runtime_->parallel_reduce(
-      n, kCoreGrain, StepSums{},
-      [&](std::size_t begin, std::size_t end) {
-        StepSums local;
-        // Batch power for this chunk's cores (vectorized SoA kernel,
-        // bit-identical to the per-core core_power calls). Offline cores'
-        // slots are computed and then overwritten with 0 below.
-        power_batch_->core_power_into(begin, end, levels, samples,
-                                      thermal_.temperatures(), power_scratch_);
-        for (std::size_t i = begin; i < end; ++i) {
-          // Power-gated (hotplug-out) core: retires nothing, draws ~0 W,
-          // sensors read zero. Its noise substream draws nothing this
-          // epoch (no sensor, no sample) -- still deterministic, the
-          // stream is private to this core.
-          if (faults_ != nullptr && faults_->core_offline(i)) {
-            out_level[i] = levels[i];
-            out_ips[i] = 0.0;
-            out_instructions[i] = 0.0;
-            out_power[i] = 0.0;
-            out_true_power[i] = 0.0;
-            out_stall[i] = 0.0;
-            out_temp[i] = thermal_.temperature(i);
-            out_online[i] = 0;
-            tile_power_[i] = 0.0;
-            continue;
-          }
-          const arch::VfPoint& point = vf[levels[i]];
-          const double temp = thermal_.temperature(i);
-          auto ep = perf_[i].epoch(samples[i], point.freq_ghz, sim_.epoch_s,
-                                   mem_scale);
-          double true_w = power_scratch_[i];
+  // Batch power for every core (bit-identical to per-core core_power
+  // calls). Offline cores' slots are computed and then overwritten with 0
+  // below.
+  power_batch_->core_power_into(0, n, levels, samples,
+                                thermal_.temperatures(), power_scratch_);
 
-          // DVFS actuation cost: a level change stalls the core and
-          // dissipates regulator transition energy during this epoch.
-          const bool switched =
-              have_prev_levels_ && prev_levels_[i] != levels[i];
-          if (switched) {
-            const double run_frac =
-                1.0 - sim_.switch_penalty_s / sim_.epoch_s;
-            ep.instructions *= run_frac;
-            ep.ips *= run_frac;
-            true_w += sim_.switch_energy_j / sim_.epoch_s;
-          }
+  // Per-core perf/power/observation loop. The three chip sums fold per
+  // kSumBlock block, then across blocks (the golden summation order).
+  double chip_true_w = 0.0;
+  double chip_meas_w = 0.0;
+  double total_ips = 0.0;
+  for (std::size_t begin = 0; begin < n; begin += kSumBlock) {
+    const std::size_t end = std::min(n, begin + kSumBlock);
+    double block_true_w = 0.0;
+    double block_meas_w = 0.0;
+    double block_ips = 0.0;
+    for (std::size_t i = begin; i < end; ++i) {
+      // Power-gated (hotplug-out) core: retires nothing, draws ~0 W,
+      // sensors read zero. Its noise substream draws nothing this epoch
+      // (no sensor, no sample).
+      if (faults_ != nullptr && faults_->core_offline(i)) {
+        out_level[i] = levels[i];
+        out_ips[i] = 0.0;
+        out_instructions[i] = 0.0;
+        out_power[i] = 0.0;
+        out_true_power[i] = 0.0;
+        out_stall[i] = 0.0;
+        out_temp[i] = thermal_.temperature(i);
+        out_online[i] = 0;
+        tile_power_[i] = 0.0;
+        continue;
+      }
+      const arch::VfPoint& point = vf[levels[i]];
+      const double temp = thermal_.temperature(i);
+      auto ep =
+          perf_[i].epoch(samples[i], point.freq_ghz, sim_.epoch_s, mem_scale);
+      double true_w = power_scratch_[i];
 
-          // Sensor faults corrupt the *measured* readings only, after
-          // noise: true_power_w and the chip's true aggregates always
-          // carry the physical values. filter_* mutates only core i's
-          // stuck-at-last slot -- race-free in this per-core loop.
-          double meas_ips = noisy(i, ep.ips);
-          double meas_w = noisy(i, true_w);
-          if (faults_ != nullptr) {
-            meas_ips = faults_->filter_ips(i, meas_ips);
-            meas_w = faults_->filter_power(i, meas_w);
-          }
+      // DVFS actuation cost: a level change stalls the core and dissipates
+      // regulator transition energy during this epoch.
+      const bool switched = have_prev_levels_ && prev_levels_[i] != levels[i];
+      if (switched) {
+        const double run_frac = 1.0 - sim_.switch_penalty_s / sim_.epoch_s;
+        ep.instructions *= run_frac;
+        ep.ips *= run_frac;
+        true_w += sim_.switch_energy_j / sim_.epoch_s;
+      }
 
-          out_level[i] = levels[i];
-          out_ips[i] = meas_ips;
-          out_instructions[i] = ep.instructions;
-          out_power[i] = meas_w;
-          out_true_power[i] = true_w;
-          out_stall[i] = ep.mem_stall_frac;
-          out_temp[i] = temp;
-          out_online[i] = 1;
+      // Sensor faults corrupt the *measured* readings only, after noise:
+      // true_power_w and the chip's true aggregates always carry the
+      // physical values.
+      double meas_ips = noisy(i, ep.ips);
+      double meas_w = noisy(i, true_w);
+      if (faults_ != nullptr) {
+        meas_ips = faults_->filter_ips(i, meas_ips);
+        meas_w = faults_->filter_power(i, meas_w);
+      }
 
-          tile_power_[i] = true_w;
-          local.true_w += true_w;
-          local.meas_w += out_power[i];
-          local.ips += ep.ips;
-        }
-        return local;
-      },
-      [](StepSums acc, const StepSums& partial) {
-        acc.true_w += partial.true_w;
-        acc.meas_w += partial.meas_w;
-        acc.ips += partial.ips;
-        return acc;
-      },
-      step_partials_);
-  const double chip_true_w = sums.true_w;
-  const double chip_meas_w = sums.meas_w;
-  const double total_ips = sums.ips;
+      out_level[i] = levels[i];
+      out_ips[i] = meas_ips;
+      out_instructions[i] = ep.instructions;
+      out_power[i] = meas_w;
+      out_true_power[i] = true_w;
+      out_stall[i] = ep.mem_stall_frac;
+      out_temp[i] = temp;
+      out_online[i] = 1;
+
+      tile_power_[i] = true_w;
+      // lint: allow(raw-loop-reduction): golden order, in-block fold
+      block_true_w += true_w;
+      // lint: allow(raw-loop-reduction): golden order, in-block fold
+      block_meas_w += meas_w;
+      // lint: allow(raw-loop-reduction): golden order, in-block fold
+      block_ips += ep.ips;
+    }
+    // lint: allow(raw-loop-reduction): golden order, block partials
+    chip_true_w += block_true_w;
+    // lint: allow(raw-loop-reduction): golden order, block partials
+    chip_meas_w += block_meas_w;
+    // lint: allow(raw-loop-reduction): golden order, block partials
+    total_ips += block_ips;
+  }
 
   thermal_.step(tile_power_, sim_.epoch_s);
 

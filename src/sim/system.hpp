@@ -24,7 +24,6 @@
 #include "power/power_model.hpp"
 #include "sim/faults.hpp"
 #include "sim/observation.hpp"
-#include "task/runtime.hpp"
 #include "telemetry/recorder.hpp"
 #include "thermal/thermal_model.hpp"
 #include "util/rng.hpp"
@@ -34,6 +33,10 @@ namespace odrl::snapshot {
 class Writer;
 class Reader;
 }  // namespace odrl::snapshot
+
+namespace odrl::task {
+class Runtime;
+}
 
 namespace odrl::sim {
 
@@ -45,9 +48,10 @@ struct SimConfig {
   /// on any other core's draws (see DESIGN.md "Threading model").
   std::uint64_t seed = 1;
 
-  /// Execution width of the per-core epoch loop (and the DRAM traffic
-  /// fixed-point sum). 1 = serial (default), 0 = hardware concurrency.
-  /// Results are bit-identical for every value; only wall time changes.
+  /// Must be 1: a chip's epoch is serial, and parallelism lives across
+  /// chips (run_multichip) and sessions (service::Server). validate()
+  /// refuses any other value. Kept only because the frozen perfbench/
+  /// tree sets it; it goes with the next change to that benchmark.
   std::size_t threads = 1;
 
   // DVFS actuation cost (0 = ideal regulators, the default). When a core's
@@ -112,26 +116,16 @@ class ManyCoreSystem {
   double budget_w() const noexcept { return budget_w_; }
   void set_budget_w(double budget_w);
 
-  /// Re-sizes the execution width of step_into() (1 = serial, 0 =
-  /// hardware concurrency) by installing a fresh private task runtime.
-  /// Never changes results -- the per-core loop is chunked identically
-  /// for every width.
-  void set_threads(std::size_t threads);
-  std::size_t threads() const;
-
-  /// Shares an externally owned task runtime (MultiChipRun installs one
-  /// runtime across every chip so chip tasks and per-core chunks
-  /// interleave on the same workers). Results stay bit-identical: the
-  /// runtime only changes who executes a chunk, never the chunk layout
-  /// or the reduction order. Rejects nullptr. set_threads() reverts to a
-  /// private runtime.
-  void set_runtime(std::shared_ptr<task::Runtime> runtime);
-  const task::Runtime& runtime() const { return *runtime_; }
+  /// An idle width-1 runtime shared by every system in the process; its
+  /// counters always read zero, because a chip's epoch submits no tasks.
+  /// Kept only because the frozen perfbench/ tree reads its stats(); it
+  /// goes with the next change to that benchmark.
+  const task::Runtime& runtime() const;
 
   /// Attaches (nullptr detaches) a telemetry recorder; the runner wires
   /// this per run. The system only updates counters/gauges (level
-  /// switches, DRAM pressure) from step()'s serial tail -- never from the
-  /// parallel region -- so recording is deterministic and free when off.
+  /// switches, DRAM pressure) from step()'s tail, after the per-core loop,
+  /// so recording is deterministic and free when off.
   void set_recorder(telemetry::Recorder* recorder) { recorder_ = recorder; }
 
   /// Attaches (nullptr detaches) a fault engine; the runner wires this at
@@ -174,22 +168,10 @@ class ManyCoreSystem {
   thermal::ThermalModel thermal_;
   mem::DramModel dram_;
   /// One decorrelated noise substream per core, each a pure function of
-  /// (sim.seed, core index) -- independent of core count and thread count.
+  /// (sim.seed, core index) -- independent of the chip's core count.
   std::vector<util::Rng> noise_rngs_;
-  /// Shared when installed by set_runtime() (multi-chip), private
-  /// otherwise; never null after construction.
-  std::shared_ptr<task::Runtime> runtime_;
   std::vector<double> tile_power_;  ///< scratch, mesh-sized
   std::vector<std::size_t> prev_levels_;  ///< for switch-cost accounting
-  /// Chunk partials for the per-core observation reduce (scratch; declared
-  /// here so parallel_reduce can reuse capacity across epochs).
-  struct StepSums {
-    double true_w = 0.0;
-    double meas_w = 0.0;
-    double ips = 0.0;
-  };
-  std::vector<StepSums> step_partials_;
-  std::vector<double> traffic_partials_;  ///< DRAM traffic reduce scratch
   bool have_prev_levels_ = false;
   double budget_w_;
   std::size_t epoch_ = 0;

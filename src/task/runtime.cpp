@@ -158,7 +158,7 @@ bool Runtime::is_worker_thread() const { return tls_runtime == this; }
 void Runtime::enqueue(const Task& task) {
   if (is_worker_thread()) {
     // Owner end: newest work at the bottom, cache-warm for ourselves,
-    // while thieves drain the oldest chunks from the top.
+    // while thieves drain the oldest tasks from the top.
     TaskRing& deque = slots_[tls_slot]->deque;
     if (deque.push_bottom(task)) {
       note_depth(deque.depth());
@@ -228,7 +228,7 @@ bool Runtime::find_group_task(std::size_t slot, const Group& group,
 
 void Runtime::execute(const Task& task) {
   try {
-    task.fn(task.ctx, task.begin, task.end);
+    task.fn(task.ctx);
   } catch (...) {
     if (task.group != nullptr) {
       util::MutexLock lock(task.group->mutex_);
@@ -295,39 +295,6 @@ void Runtime::wait(Group& group) {
     group.error_ = nullptr;
   }
   if (error) std::rethrow_exception(error);
-}
-
-void Runtime::parallel_for(
-    std::size_t n, std::size_t grain,
-    util::FunctionRef<void(std::size_t, std::size_t)> body) {
-  if (n == 0) return;
-  const std::size_t g = std::max<std::size_t>(grain, 1);
-  const std::size_t n_chunks = (n + g - 1) / g;
-  if (width_ == 1 || n_chunks == 1) {
-    // Inline path: same chunk layout, zero synchronization. Keeps a
-    // width-1 runtime free and guarantees identical chunk boundaries.
-    for (std::size_t c = 0; c < n_chunks; ++c) {
-      body(c * g, std::min(n, (c + 1) * g));
-    }
-    return;
-  }
-
-  Group group;
-  group.pending_.store(n_chunks, std::memory_order_relaxed);
-  Task task;
-  task.fn = [](void* ctx, std::size_t begin, std::size_t end) {
-    (*static_cast<util::FunctionRef<void(std::size_t, std::size_t)>*>(ctx))(
-        begin, end);
-  };
-  task.ctx = &body;  // borrowed; alive until wait() returns below
-  task.group = &group;
-  for (std::size_t c = 0; c < n_chunks; ++c) {
-    task.begin = c * g;
-    task.end = std::min(n, (c + 1) * g);
-    enqueue(task);
-  }
-  publish();
-  wait(group);
 }
 
 void Runtime::note_depth(std::size_t depth) {

@@ -1,5 +1,8 @@
-// Work-stealing task runtime: the execution substrate for the epoch
-// pipeline and for multi-chip sharded runs (sim::MultiChipRun).
+// Work-stealing task runtime: the execution substrate for multi-chip
+// fleet runs (sim::run_multichip submits one whole-run task per chip) and
+// for the control-plane service (service::Server submits one drain task
+// per connection). A chip's epoch never submits tasks: it runs serially
+// on whichever thread claimed its chip.
 //
 // Shape (in the style of mx::tasking): `workers - 1` spawned threads plus
 // the calling thread, each with an owner-local deque operated with the
@@ -16,23 +19,20 @@
 // than the lock-free Chase-Lev protocol: the protocol's *discipline*
 // (owner-bottom / thief-top) is kept, the racy memory reclamation is
 // not, so the runtime is ThreadSanitizer-clean by construction and the
-// tsan CI job can pin the whole epoch pipeline (see DESIGN.md "Task
-// runtime & multi-chip sharding"). At this library's task granularity
-// (a chunk of cores, or a whole chip run) the mutex cost is noise.
+// tsan CI job can pin every fleet and service path (see DESIGN.md "Task
+// runtime & multi-chip fleets"). At this library's task granularity (a
+// whole chip run, or a connection's drain) the mutex cost is noise.
 // Every lock here is an annotated util::Mutex: guarded members are
 // machine-checked by Clang Thread Safety Analysis (CI builds src/ with
 // -Wthread-safety -Werror) and the ODRL_CHECKED lock-rank checker aborts
 // on any out-of-order acquisition (util/lock_rank.hpp rank table).
 //
-// Determinism contract (pinned by tests/task_test.cpp,
-// tests/threading_test.cpp and the golden suite):
-// parallel_for/parallel_reduce partition [0, n) into chunks whose
-// boundaries are a pure function of (n, grain) -- never of worker count
-// or of which worker claims which chunk. Reductions store one partial
-// per chunk in a disjoint slot and fold the partials serially in chunk
-// order, so the floating-point summation tree is fixed: stealing can
-// reorder *execution*, never the *reduction*. A runtime of width 1
-// spawns no workers and executes inline through the same chunked path.
+// Determinism: the runtime decides only *who* runs a task and *when*,
+// never what a task computes. Callers keep their results deterministic
+// by giving each task disjoint state and assembling results in a fixed
+// order after wait() (tests/task_test.cpp, tests/multichip_test.cpp and
+// the service soak test pin this). A runtime of width 1 spawns no
+// workers; its submitted tasks run on the thread that calls wait().
 #pragma once
 
 #include <atomic>
@@ -41,9 +41,9 @@
 #include <exception>
 #include <memory>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
-#include "util/function_ref.hpp"
 #include "util/mutex.hpp"
 #include "util/thread_annotations.hpp"
 
@@ -66,8 +66,8 @@ struct RuntimeConfig {
 };
 
 /// Monotonic counters since construction (or the last reset_stats()).
-/// Observational only -- reading them never perturbs scheduling, and the
-/// multi-chip layer exports them as telemetry (task.steals, ...).
+/// Observational only -- reading them never perturbs scheduling;
+/// run_multichip reports them as MultiChipResult::runtime_stats.
 struct RuntimeStats {
   std::uint64_t tasks_executed = 0;  ///< tasks run to completion
   std::uint64_t steals = 0;          ///< tasks taken from another slot
@@ -135,7 +135,7 @@ class Runtime {
     static_assert(std::is_invocable_v<F&>,
                   "submit() callables take no arguments");
     group.pending_.fetch_add(1, std::memory_order_relaxed);
-    enqueue(Task{&invoke_callable<F>, std::addressof(fn), 0, 0, &group});
+    enqueue(Task{&invoke_callable<F>, std::addressof(fn), &group});
     publish();
   }
 
@@ -148,49 +148,6 @@ class Runtime {
   /// the first exception any task of the group threw.
   void wait(Group& group);
 
-  /// Invokes body(begin, end) once per chunk of at most `grain` indices,
-  /// covering [0, n) exactly. Chunks run concurrently; the caller helps
-  /// and returns only when every chunk finished. The first exception
-  /// thrown by a chunk is rethrown here (remaining chunks still run).
-  /// Nestable: a task may call parallel_for on its own runtime (the
-  /// per-chip epoch loops do exactly that under MultiChipRun).
-  void parallel_for(std::size_t n, std::size_t grain,
-                    util::FunctionRef<void(std::size_t, std::size_t)> body);
-
-  /// Chunked map/reduce: acc = combine(acc, map(chunk)) folded serially
-  /// in chunk order, starting from `identity`. Because the fold order is
-  /// a pure function of (n, grain), the result is bit-identical for any
-  /// worker count. This overload allocates a partials vector per call;
-  /// hot loops pass a reusable scratch buffer to the overload below.
-  template <typename T, typename Map, typename Combine>
-  T parallel_reduce(std::size_t n, std::size_t grain, T identity, Map&& map,
-                    Combine&& combine) {
-    std::vector<T> partials;
-    return parallel_reduce(n, grain, std::move(identity),
-                           std::forward<Map>(map),
-                           std::forward<Combine>(combine), partials);
-  }
-
-  /// Scratch-buffer variant: `partials` is resized (capacity reused) to
-  /// one slot per chunk, so a warmed-up caller performs zero heap
-  /// allocations. Each chunk writes only its own slot (begin / grain) --
-  /// disjoint stores, no synchronization beyond the group barrier.
-  template <typename T, typename Map, typename Combine>
-  T parallel_reduce(std::size_t n, std::size_t grain, T identity, Map&& map,
-                    Combine&& combine, std::vector<T>& partials) {
-    if (n == 0) return identity;
-    const std::size_t g = grain == 0 ? 1 : grain;
-    const std::size_t n_chunks = (n + g - 1) / g;
-    partials.assign(n_chunks, identity);
-    auto body = [&](std::size_t begin, std::size_t end) {
-      partials[begin / g] = map(begin, end);
-    };
-    parallel_for(n, g, body);
-    T acc = identity;
-    for (const T& partial : partials) acc = combine(acc, partial);
-    return acc;
-  }
-
   /// Snapshot of the counters (torn reads across fields are acceptable:
   /// each field is individually consistent).
   RuntimeStats stats() const;
@@ -198,21 +155,15 @@ class Runtime {
 
  private:
   /// One queued unit of work: a raw trampoline + context (allocation-free
-  /// by construction), an index range for chunk tasks, and the barrier it
-  /// reports completion to.
+  /// by construction) and the barrier it reports completion to.
   struct Task {
-    void (*fn)(void* ctx, std::size_t begin, std::size_t end) = nullptr;
+    void (*fn)(void* ctx) = nullptr;
     void* ctx = nullptr;
-    std::size_t begin = 0;
-    std::size_t end = 0;
     Group* group = nullptr;
   };
 
   template <typename F>
-  static void invoke_callable(void* ctx, std::size_t /*begin*/,
-                              std::size_t /*end*/) {
-    (*static_cast<F*>(ctx))();
-  }
+  static void invoke_callable(void* ctx) { (*static_cast<F*>(ctx))(); }
 
   /// Fixed-capacity ring operated with the Chase-Lev discipline under a
   /// per-ring mutex: owner at the bottom, thieves at the top.

@@ -10,7 +10,7 @@
 // the run loop's thread only, in epoch order, and carry no wall-clock
 // timestamps other than the decide() latency they explicitly measure.
 // Recording never perturbs the run -- RunResults are bit-identical with
-// telemetry on or off, at any thread count.
+// telemetry on or off.
 #pragma once
 
 #include <cstddef>

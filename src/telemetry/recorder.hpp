@@ -11,12 +11,10 @@
 //
 // Threading/determinism contract: all record_* and instrument calls of
 // ONE run must come from one thread (the closed-loop driver's), in epoch
-// order -- the parallel regions of the simulator and controllers never
-// call into the Recorder; they hand their results to the serial section
-// that does. Sinks therefore observe a deterministic record sequence for
-// any thread count, and recording never changes RunResults (it only reads
-// them). That single-writer shape used to be an implicit convention; the
-// internals are now guarded by an annotated mutex (rank kRecorder) so a
+// order. Sinks therefore observe a deterministic record sequence, and
+// recording never changes RunResults (it only reads them). That
+// single-writer shape used to be an implicit convention; the internals
+// are now guarded by an annotated mutex (rank kRecorder) so a
 // Recorder shared across threads -- e.g. fleet-level counters aggregated
 // over per-chip runs -- is merely *interleaved*, never corrupted, and the
 // guard is machine-checked by -Wthread-safety in CI.

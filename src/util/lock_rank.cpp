@@ -35,9 +35,8 @@ struct HeldStack {
 
 thread_local HeldStack tls_held;
 
-[[noreturn]] void die_inversion(const HeldLock& held, const void* mutex,
-                                LockRank rank, const char* name,
-                                const char* file, int line) {
+[[noreturn]] void die_inversion(const HeldLock& held, LockRank rank,
+                                const char* name, const char* file, int line) {
   std::fprintf(
       stderr,
       "odrl lock-rank violation: acquiring \"%s\" (rank %u) at %s:%d while "
@@ -72,7 +71,7 @@ void note_acquire(const void* mutex, LockRank rank, const char* name,
       std::fflush(stderr);
       std::abort();
     }
-    if (h.rank >= rank) die_inversion(h, mutex, rank, name, file, line);
+    if (h.rank >= rank) die_inversion(h, rank, name, file, line);
   }
   held.locks[held.depth++] = HeldLock{mutex, rank, name, file, line};
 }

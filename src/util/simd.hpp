@@ -15,9 +15,9 @@
 // *elementwise* IEEE-754 arithmetic (+, -, *, /), which is bit-identical
 // per lane to the scalar operation sequence. Transcendentals stay scalar
 // per element, and every reduction is a scalar fold in canonical index
-// order (ordered_sum) -- never a lane-order or thread-order dependent tree.
-// That is what keeps the golden digests byte-stable across lane widths,
-// thread counts and ODRL_SIMD ON/OFF.
+// order (ordered_sum) -- never a lane-order dependent tree. That is what
+// keeps the golden digests byte-stable across lane widths and ODRL_SIMD
+// ON/OFF.
 //
 // Alignment: all loads/stores are element_aligned (valid at any address),
 // so the kernel reads its columns in place with no overalignment demands.
@@ -54,7 +54,7 @@ bool simd_active() noexcept;
 /// Canonical deterministic reduction: a sequential fold in index order,
 /// starting from 0.0. A kernel that needs a sum materializes its terms into
 /// a column and folds with this -- the summation tree is a pure function of
-/// the element count, independent of lanes and threads.
+/// the element count, independent of lane width.
 inline double ordered_sum(std::span<const double> values) noexcept {
   double sum = 0.0;
   for (const double v : values) sum += v;

@@ -9,6 +9,7 @@
 #include <memory>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "arch/chip_config.hpp"
@@ -356,7 +357,9 @@ TEST(SafeUniformLevel, MatchesWorstCaseProvisioning) {
   for (double budget : {worst(2) * 1.01, worst(4) * 1.01, c.tdp_w()}) {
     const std::size_t l = os::safe_uniform_level(c, budget);
     EXPECT_LE(worst(l), budget);
-    if (l + 1 < c.vf_table().size()) EXPECT_GT(worst(l + 1), budget);
+    if (l + 1 < c.vf_table().size()) {
+      EXPECT_GT(worst(l + 1), budget);
+    }
   }
   // The Static baseline provisions with the identical rule.
   ob::StaticUniformController static_ctl(c);
@@ -479,6 +482,54 @@ TEST(FaultRunner, NullAndEmptySchedulesAreIdentityOperations) {
   const os::RunResult with_idle_engine = run_odrl(&far_future);
   expect_same_run(bare, with_idle_engine);
   EXPECT_EQ(with_idle_engine.fault_events_applied, 0u);
+}
+
+namespace {
+
+/// A noisy, DRAM-contended 32-core OD-RL run under two budget events,
+/// with the watchdog armed whenever a fault schedule is plumbed in.
+os::RunResult run_contended(const os::FaultSchedule* faults) {
+  const std::size_t cores = 32;
+  const oa::ChipConfig c = oa::ChipConfig::make(cores, 0.6);
+  os::SimConfig sc;
+  sc.sensor_noise_rel = 0.05;
+  sc.seed = 11;
+  sc.dram.peak_gbps = 150.0;
+  auto workload = std::make_unique<ow::GeneratedWorkload>(
+      ow::GeneratedWorkload::mixed_suite(cores, 5));
+  os::ManyCoreSystem system(c, std::move(workload), sc);
+  oc::OdrlController controller(c);
+  os::RunConfig cfg;
+  cfg.warmup_epochs = 20;
+  cfg.epochs = 150;
+  cfg.budget_events = {{0, c.tdp_w() * 0.9}, {60, c.tdp_w() * 0.5}};
+  cfg.faults = faults;
+  cfg.watchdog.enabled = faults != nullptr;
+  return os::run_closed_loop(system, controller, cfg);
+}
+
+}  // namespace
+
+TEST(Determinism, EmptyScheduleLeavesRunsBitIdenticalToNoEngine) {
+  // Plumbing an engine with nothing scheduled must be a perfect identity:
+  // the fault path's mere presence cannot perturb a healthy run.
+  const os::FaultSchedule empty;
+  const os::RunResult bare = run_contended(nullptr);
+  const os::RunResult plumbed = run_contended(&empty);
+  EXPECT_EQ(plumbed.fault_events_applied, 0u);
+  EXPECT_EQ(plumbed.watchdog_fallback_entries, 0u);
+  EXPECT_EQ(bare.otb_energy_j, plumbed.otb_energy_j);
+  EXPECT_EQ(bare.time_over_s, plumbed.time_over_s);
+  EXPECT_EQ(bare.peak_overshoot_w, plumbed.peak_overshoot_w);
+  EXPECT_EQ(bare.thermal_violation_epochs, plumbed.thermal_violation_epochs);
+  expect_same_run(bare, plumbed);
+  for (std::size_t e = 0; e < bare.trace.size(); ++e) {
+    ASSERT_EQ(bare.trace[e].budget_w, plumbed.trace[e].budget_w) << e;
+    ASSERT_EQ(bare.trace[e].true_chip_power_w,
+              plumbed.trace[e].true_chip_power_w)
+        << e;
+    ASSERT_EQ(bare.trace[e].max_temp_c, plumbed.trace[e].max_temp_c) << e;
+  }
 }
 
 TEST(FaultRunner, EnabledWatchdogIsIdleOnHealthyRuns) {

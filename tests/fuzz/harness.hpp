@@ -162,7 +162,9 @@ inline void fuzz_multichip(const std::uint8_t* data, std::size_t size) {
       differential = true;
       for (std::size_t i = 0; i < fleet_config.chips && differential; ++i) {
         r.open_section(sim::chip_section_tag(i));
-        snapshot::Reader chip(r.str());
+        // Reader borrows its blob: keep the chip's bytes alive beside it.
+        const std::string chip_blob = r.str();
+        snapshot::Reader chip(chip_blob);
         r.expect_section_end();
         chip.open_section(sim::kSnapshotRunnerTag);
         if (chip.u64() != frame_epoch) differential = false;

@@ -4,10 +4,35 @@
 // clang-format/clang-tidy gates.
 #include <condition_variable>
 #include <mutex>
+#include <span>
+#include <string>
+#include <vector>
 
+#include "sim/controller.hpp"
 #include "util/thread_annotations.hpp"
 
 namespace fixture {
+
+// controller-must-decide-into: a Controller subclass whose class body
+// never implements decide_into().
+class BadController : public odrl::sim::Controller {
+ public:
+  std::string name() const override { return "Bad"; }
+};
+
+// heap-in-hot-path: a local std::vector inside a *_into function.
+inline void bad_scratch_into(std::span<double> out) {
+  std::vector<double> scratch(out.size(), 1.0);
+  for (std::size_t i = 0; i < out.size(); ++i) out[i] = scratch[i];
+}
+
+// raw-loop-reduction: a '+=' fold onto a scalar inside a *_into body,
+// with no marker naming its order.
+inline void bad_sum_into(std::span<const double> in, double& out) {
+  double total = 0.0;
+  for (double v : in) total += v;
+  out = total;
+}
 
 // raw-mutex: std::mutex / lock_guard / condition_variable outside
 // src/util/mutex.{hpp,cpp}.

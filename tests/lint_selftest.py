@@ -24,6 +24,9 @@ from pathlib import Path
 # it. Entries are matched as substrings of the lint output, so finding
 # *messages* work as well as rule names.
 EXPECTED_DIRTY_RULES = (
+    "controller-must-decide-into",
+    "heap-in-hot-path",
+    "raw-loop-reduction",
     "raw-mutex",
     "unguarded-capability",
     "nondeterminism",

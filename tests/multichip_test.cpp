@@ -382,7 +382,7 @@ TEST(MultiChip, ValidationRejectsBadSpecs) {
     EXPECT_THROW((void)os::run_multichip(none, {}), std::invalid_argument);
   }
   {
-    // Per-chip threads collide with the fleet runtime.
+    // A wide per-chip thread request is refused before any chip starts.
     os::Fleet f(small_fleet(2, 8));
     f.specs()[1].config.threads = 2;
     EXPECT_THROW((void)os::run_multichip(f.specs(), {}),

@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <memory>
 #include <span>
+#include <stdexcept>
 
 #include "arch/chip_config.hpp"
 #include "sim/controller.hpp"
@@ -86,6 +87,28 @@ TEST(ManyCoreSystem, StepProducesConsistentObservation) {
   EXPECT_NEAR(obs.total_ips, sum_ips, 1e-6);
   EXPECT_EQ(obs.epoch, 0u);
   EXPECT_DOUBLE_EQ(obs.budget_w, sys.config().tdp_w());
+}
+
+TEST(SerialChip, WideThreadRequestsAreRefused) {
+  // A chip's epoch is serial; a wide request must fail loudly rather than
+  // run serially behind the caller's back.
+  os::SimConfig sim;
+  sim.threads = 2;
+  EXPECT_THROW(sim.validate(), std::invalid_argument);
+  EXPECT_THROW((void)make_system(4, sim), std::invalid_argument);
+  sim.threads = 0;
+  EXPECT_THROW(sim.validate(), std::invalid_argument);
+
+  os::RunConfig run;
+  run.epochs = 5;
+  run.threads = 2;
+  EXPECT_THROW(run.validate(), std::invalid_argument);
+  os::ManyCoreSystem system = make_system();
+  FixedController controller(1);
+  EXPECT_THROW((void)os::run_closed_loop(system, controller, run),
+               std::invalid_argument);
+  run.threads = 1;
+  EXPECT_NO_THROW((void)os::run_closed_loop(system, controller, run));
 }
 
 TEST(ManyCoreSystem, EpochCounterAdvances) {

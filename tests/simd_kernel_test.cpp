@@ -2,8 +2,8 @@
 // "Vectorized kernels"): the batch power model against the per-core
 // PowerModel, and the one vectorized kernel -- the thermal Euler step --
 // against its scalar path. Every test asserts EXACT (bitwise, EXPECT_EQ on
-// doubles) agreement -- the same contract the golden digests and the
-// threading tests pin end to end.
+// doubles) agreement -- the same contract the golden digests pin end to
+// end.
 //
 // When the build carries no native SIMD (ODRL_SIMD=OFF), the force-scalar
 // toggle is a no-op and both sides run the same code; the comparisons
@@ -229,20 +229,18 @@ TEST(SimdThermal, SteadyStateResultReportsConvergence) {
 
 namespace {
 
-os::RunResult closed_loop_run(std::size_t threads) {
+os::RunResult closed_loop_run() {
   const std::size_t cores = 32;
   const oa::ChipConfig chip = oa::ChipConfig::make(cores, 0.6);
   os::SimConfig sim;
   sim.sensor_noise_rel = 0.05;
   sim.seed = 23;
-  sim.threads = threads;
   os::ManyCoreSystem system(
       chip,
       std::make_unique<ow::GeneratedWorkload>(
           ow::GeneratedWorkload::mixed_suite(cores, 5)),
       sim);
   oc::OdrlController controller(chip);
-  controller.set_threads(threads);
   os::RunConfig cfg;
   cfg.warmup_epochs = 10;
   cfg.epochs = 80;
@@ -265,17 +263,10 @@ void expect_same_trace(const os::RunResult& a, const os::RunResult& b) {
 
 }  // namespace
 
-TEST(SimdClosedLoop, ScalarAndVectorRunsAreBitIdenticalAcrossThreads) {
+TEST(SimdClosedLoop, ScalarAndVectorRunsAreBitIdentical) {
   // The load-bearing end-to-end claim: flipping SIMD on/off changes not a
-  // single bit of a full OD-RL closed-loop run, at any thread count, and
-  // all six runs agree with each other.
-  std::vector<os::RunResult> runs;
-  for (std::size_t threads : {1u, 2u, 4u}) {
-    runs.push_back(closed_loop_run(threads));
-    ForceScalarGuard guard(true);
-    runs.push_back(closed_loop_run(threads));
-  }
-  for (std::size_t i = 1; i < runs.size(); ++i) {
-    expect_same_trace(runs[0], runs[i]);
-  }
+  // single bit of a full OD-RL closed-loop run.
+  const os::RunResult vector_run = closed_loop_run();
+  ForceScalarGuard guard(true);
+  expect_same_trace(vector_run, closed_loop_run());
 }

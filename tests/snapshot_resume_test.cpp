@@ -1,15 +1,14 @@
 // The snapshot API's headline guarantee: a run captured at its midpoint
 // and resumed on freshly constructed objects continues *bit-identically*
-// to the run that never stopped -- at every thread count, with and without
-// a fault storm -- plus the live hot-swap semantics built on the same
-// machinery (swap scheduling, registry construction, snapshot seeding,
-// swap records in RunResult and telemetry).
+// to the run that never stopped -- with and without a fault storm -- plus
+// the live hot-swap semantics built on the same machinery (swap
+// scheduling, registry construction, snapshot seeding, swap records in
+// RunResult and telemetry).
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "arch/chip_config.hpp"
@@ -77,13 +76,12 @@ void expect_records_equal(const os::EpochTrace& a, const os::EpochTrace& b,
   EXPECT_EQ(a.thermal_violations, b.thermal_violations) << "record " << i;
 }
 
-class ResumeBitIdentity
-    : public ::testing::TestWithParam<std::tuple<std::size_t, bool>> {};
+class ResumeBitIdentity : public ::testing::TestWithParam<bool> {};
 
 }  // namespace
 
 TEST_P(ResumeBitIdentity, TailMatchesUninterruptedRun) {
-  const auto [threads, faults] = GetParam();
+  const bool faults = GetParam();
   const oa::ChipConfig c = chip();
   const os::FaultSchedule storm = faults ? storm_schedule()
                                          : os::FaultSchedule{};
@@ -91,7 +89,6 @@ TEST_P(ResumeBitIdentity, TailMatchesUninterruptedRun) {
   // Uninterrupted reference run, capturing a snapshot at the midpoint.
   std::string blob;
   os::RunConfig cfg = base_config(c);
-  cfg.threads = threads;
   if (faults) {
     cfg.faults = &storm;
     cfg.watchdog.enabled = true;
@@ -106,7 +103,6 @@ TEST_P(ResumeBitIdentity, TailMatchesUninterruptedRun) {
 
   // Resume on freshly constructed objects.
   os::RunConfig rcfg = base_config(c);
-  rcfg.threads = threads;
   if (faults) {
     rcfg.faults = &storm;
     rcfg.watchdog.enabled = true;
@@ -123,15 +119,10 @@ TEST_P(ResumeBitIdentity, TailMatchesUninterruptedRun) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    ThreadsAndFaults, ResumeBitIdentity,
-    ::testing::Combine(::testing::Values(std::size_t{1}, std::size_t{2},
-                                         std::size_t{4}),
-                       ::testing::Bool()),
-    [](const auto& info) {
-      return "threads" + std::to_string(std::get<0>(info.param)) +
-             (std::get<1>(info.param) ? "_storm" : "_clean");
-    });
+INSTANTIATE_TEST_SUITE_P(Faults, ResumeBitIdentity, ::testing::Bool(),
+                         [](const auto& info) {
+                           return info.param ? "storm" : "clean";
+                         });
 
 TEST(SnapshotResume, CaptureIsObservationallyInert) {
   // A run that captures a snapshot must produce the same bits as one that

@@ -247,7 +247,9 @@ TEST(StateIo, EmaRoundTripPreservesPrimedState) {
     r.open_section(kTagA);
     osn::load_ema(r, dst);
     EXPECT_EQ(dst.primed(), src.primed());
-    if (src.primed()) EXPECT_EQ(dst.value(), src.value());
+    if (src.primed()) {
+      EXPECT_EQ(dst.value(), src.value());
+    }
     // Both must continue identically from here.
     ou::Ema cont = src;
     cont.update(5.0);

@@ -1,16 +1,13 @@
-// Work-stealing task runtime tests (src/task/runtime.hpp): scheduling
-// (submission, stealing, overflow, shutdown-with-pending-work), the
-// determinism contract (chunk boundaries and reduction order independent
-// of worker count), and exception propagation. The steal-heavy cases are
-// the TSan stress surface for the runtime (tsan label); the determinism
-// cases pin the contract the whole epoch pipeline and the multi-chip
-// layer are built on.
+// Work-stealing task runtime tests (src/task/runtime.hpp): submission,
+// stealing, overflow, shutdown-with-pending-work and exception
+// propagation. The steal-heavy cases are the TSan stress surface for the
+// runtime (tsan label) that the multi-chip fleet and the service's
+// connection drains are built on.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstddef>
 #include <latch>
-#include <numeric>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -20,19 +17,6 @@
 #include "util/mutex.hpp"
 
 namespace ot = odrl::task;
-
-namespace {
-
-constexpr std::size_t kWidths[] = {1, 2, 4, 8};
-
-/// Serial reference for the reduce cases: same per-index value, summed in
-/// index order (the runtime's fold is chunk-ordered, which for grain >= n
-/// degenerates to exactly this).
-double index_value(std::size_t i) {
-  return 1.0 + 1e-7 * static_cast<double>(i * i % 1013);
-}
-
-}  // namespace
 
 TEST(TaskRuntime, ResolveWorkersContract) {
   EXPECT_GE(ot::Runtime::resolve_workers(0), 1u);
@@ -44,82 +28,20 @@ TEST(TaskRuntime, ResolveWorkersContract) {
 }
 
 TEST(TaskRuntime, WidthOneExecutesInlineOnCaller) {
+  // Width 1 spawns no workers: submitted tasks run on the thread that
+  // waits (the single-threaded service relies on this).
   ot::Runtime rt(1);
   EXPECT_EQ(rt.size(), 1u);
   const std::thread::id caller = std::this_thread::get_id();
-  std::atomic<bool> same{true};
-  rt.parallel_for(64, 8, [&](std::size_t, std::size_t) {
-    if (std::this_thread::get_id() != caller) same = false;
-  });
-  EXPECT_TRUE(same);
-}
-
-TEST(TaskRuntime, ParallelForCoversEveryIndexOnce) {
-  for (std::size_t width : kWidths) {
-    ot::Runtime rt(width);
-    for (std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{7},
-                          std::size_t{64}, std::size_t{1000}}) {
-      for (std::size_t grain : {std::size_t{0}, std::size_t{1}, std::size_t{9},
-                                std::size_t{64}, std::size_t{4096}}) {
-        std::vector<std::atomic<int>> hits(n);
-        rt.parallel_for(n, grain, [&](std::size_t begin, std::size_t end) {
-          ASSERT_LE(begin, end);
-          ASSERT_LE(end, n);
-          for (std::size_t i = begin; i < end; ++i) hits[i]++;
-        });
-        for (std::size_t i = 0; i < n; ++i) {
-          ASSERT_EQ(hits[i].load(), 1)
-              << "width=" << width << " n=" << n << " grain=" << grain
-              << " index=" << i;
-        }
-      }
-    }
-  }
-}
-
-TEST(TaskRuntime, ChunkBoundariesDependOnlyOnGrain) {
-  // Record the chunk partition at every width; all must be identical to
-  // the width-1 (inline) partition. This is the determinism contract's
-  // load-bearing half: identical chunks + ordered fold = identical bits.
-  constexpr std::size_t kN = 333;
-  constexpr std::size_t kGrain = 16;
-  auto partition = [&](std::size_t width) {
-    ot::Runtime rt(width);
-    std::vector<std::pair<std::size_t, std::size_t>> chunks(
-        (kN + kGrain - 1) / kGrain);
-    rt.parallel_for(kN, kGrain, [&](std::size_t begin, std::size_t end) {
-      chunks[begin / kGrain] = {begin, end};
-    });
-    return chunks;
+  std::atomic<int> on_caller{0};
+  auto probe = [&] {
+    if (std::this_thread::get_id() == caller) on_caller++;
   };
-  const auto reference = partition(1);
-  for (std::size_t width : kWidths) {
-    EXPECT_EQ(partition(width), reference) << "width=" << width;
-  }
-}
-
-TEST(TaskRuntime, ReduceIsBitIdenticalAcrossWorkerCounts) {
-  constexpr std::size_t kN = 2000;
-  constexpr std::size_t kGrain = 32;
-  auto map = [](std::size_t begin, std::size_t end) {
-    double s = 0.0;
-    for (std::size_t i = begin; i < end; ++i) s += index_value(i);
-    return s;
-  };
-  auto combine = [](double a, double b) { return a + b; };
-
-  ot::Runtime serial(1);
-  const double want = serial.parallel_reduce(kN, kGrain, 0.0, map, combine);
-  for (std::size_t width : kWidths) {
-    ot::Runtime rt(width);
-    std::vector<double> scratch;
-    for (int repeat = 0; repeat < 5; ++repeat) {
-      const double got =
-          rt.parallel_reduce(kN, kGrain, 0.0, map, combine, scratch);
-      // Bit-identical, not just close: the fold order is fixed.
-      ASSERT_EQ(got, want) << "width=" << width << " repeat=" << repeat;
-    }
-  }
+  std::vector<decltype(probe)> tasks(16, probe);
+  ot::Runtime::Group group;
+  for (auto& t : tasks) rt.submit(group, t);
+  rt.wait(group);
+  EXPECT_EQ(on_caller.load(), 16);
 }
 
 TEST(TaskRuntime, SubmitRunsEveryTaskAndGroupIsReusable) {
@@ -143,7 +65,6 @@ TEST(TaskRuntime, WaitOnEmptyGroupReturnsImmediately) {
   ot::Runtime rt(2);
   ot::Runtime::Group group;
   rt.wait(group);  // nothing submitted: must not block
-  rt.parallel_for(0, 8, [](std::size_t, std::size_t) { FAIL(); });
 }
 
 TEST(TaskRuntime, OversubscribedSubmissionOverflowsInlineWithoutLoss) {
@@ -203,24 +124,24 @@ TEST(TaskRuntime, StealHeavyStressDistributesWork) {
   EXPECT_GE(rt.stats().steals, 2u);
 }
 
-TEST(TaskRuntime, ParallelForPropagatesExceptionsAndStaysUsable) {
+TEST(TaskRuntime, GroupExceptionLeavesRuntimeUsable) {
   for (std::size_t width : {std::size_t{1}, std::size_t{4}}) {
     ot::Runtime rt(width);
-    EXPECT_THROW(
-        rt.parallel_for(100, 10,
-                        [](std::size_t begin, std::size_t) {
-                          if (begin == 50) throw std::runtime_error("boom");
-                        }),
-        std::runtime_error)
-        << "width=" << width;
-
-    // The runtime survives: the next job runs normally.
     std::atomic<int> counter{0};
-    rt.parallel_for(100, 10,
-                    [&](std::size_t begin, std::size_t end) {
-                      counter += static_cast<int>(end - begin);
-                    });
-    EXPECT_EQ(counter.load(), 100) << "width=" << width;
+    auto bump = [&] { counter++; };
+    auto thrower = [] { throw std::runtime_error("boom"); };
+    std::vector<decltype(bump)> bumps(9, bump);
+    ot::Runtime::Group group;
+    for (auto& t : bumps) rt.submit(group, t);
+    rt.submit(group, thrower);
+    EXPECT_THROW(rt.wait(group), std::runtime_error) << "width=" << width;
+    // The other tasks of the failing group still ran.
+    EXPECT_EQ(counter.load(), 9) << "width=" << width;
+
+    // The runtime and the group survive: the next batch runs normally.
+    for (auto& t : bumps) rt.submit(group, t);
+    rt.wait(group);
+    EXPECT_EQ(counter.load(), 18) << "width=" << width;
   }
 }
 
@@ -247,59 +168,28 @@ TEST(TaskRuntime, ShutdownDrainsPendingTasks) {
   EXPECT_EQ(counter.load(), 32);
 }
 
-TEST(TaskRuntime, NestedParallelReduceInsideSubmittedTasks) {
-  // The multi-chip shape: whole-run tasks that internally parallel_reduce
-  // on the *same* runtime. Results must equal the serial reference.
-  ot::Runtime rt(4);
-  constexpr std::size_t kN = 512;
-  double serial_a = 0.0, serial_b = 0.0;
-  for (std::size_t i = 0; i < kN; ++i) serial_a += index_value(i);
-  for (std::size_t i = 0; i < kN; ++i) serial_b += index_value(i + kN);
-
-  auto map_a = [](std::size_t begin, std::size_t end) {
-    double s = 0.0;
-    for (std::size_t i = begin; i < end; ++i) s += index_value(i);
-    return s;
-  };
-  auto map_b = [](std::size_t begin, std::size_t end) {
-    double s = 0.0;
-    for (std::size_t i = begin; i < end; ++i) s += index_value(i + kN);
-    return s;
-  };
-  auto combine = [](double a, double b) { return a + b; };
-
-  double got_a = 0.0, got_b = 0.0;
-  auto chip_a = [&] {
-    got_a = rt.parallel_reduce(kN, kN, 0.0, map_a, combine);
-  };
-  auto chip_b = [&] {
-    got_b = rt.parallel_reduce(kN, kN, 0.0, map_b, combine);
-  };
-  ot::Runtime::Group group;
-  rt.submit(group, chip_a);
-  rt.submit(group, chip_b);
-  rt.wait(group);
-
-  EXPECT_EQ(got_a, serial_a);
-  EXPECT_EQ(got_b, serial_b);
-}
-
 TEST(TaskRuntime, PinnedWorkersRunNormally) {
   ot::RuntimeConfig cfg;
   cfg.workers = 2;
   cfg.pin_workers = true;  // best-effort; must never fail the run
   ot::Runtime rt(cfg);
   std::atomic<int> counter{0};
-  rt.parallel_for(100, 10, [&](std::size_t begin, std::size_t end) {
-    counter += static_cast<int>(end - begin);
-  });
+  auto bump = [&] { counter++; };
+  std::vector<decltype(bump)> tasks(100, bump);
+  ot::Runtime::Group group;
+  for (auto& t : tasks) rt.submit(group, t);
+  rt.wait(group);
   EXPECT_EQ(counter.load(), 100);
 }
 
 TEST(TaskRuntime, StatsAccumulateAndReset) {
   ot::Runtime rt(2);
-  rt.parallel_for(100, 10, [](std::size_t, std::size_t) {});
-  EXPECT_GT(rt.stats().tasks_executed, 0u);
+  auto noop = [] {};
+  std::vector<decltype(noop)> tasks(10, noop);
+  ot::Runtime::Group group;
+  for (auto& t : tasks) rt.submit(group, t);
+  rt.wait(group);
+  EXPECT_EQ(rt.stats().tasks_executed, 10u);
   rt.reset_stats();
   EXPECT_EQ(rt.stats().tasks_executed, 0u);
   EXPECT_EQ(rt.stats().steals, 0u);
@@ -307,18 +197,19 @@ TEST(TaskRuntime, StatsAccumulateAndReset) {
 }
 
 TEST(TaskRuntime, ManyConsecutiveJobsStayCorrect) {
+  // One reused group, 200 batches of varying size: every batch's tasks
+  // complete before its wait() returns, and none leaks into the next.
   ot::Runtime rt(4);
-  std::vector<double> scratch;
-  auto combine = [](double a, double b) { return a + b; };
+  std::atomic<int> counter{0};
+  auto bump = [&] { counter++; };
+  std::vector<decltype(bump)> tasks(64 + 6 * 13, bump);
+  ot::Runtime::Group group;
   for (int job = 0; job < 200; ++job) {
     const std::size_t n = 64 + static_cast<std::size_t>(job % 7) * 13;
-    const double got = rt.parallel_reduce(
-        n, 8, 0.0,
-        [](std::size_t begin, std::size_t end) {
-          return static_cast<double>(end - begin);
-        },
-        combine, scratch);
-    ASSERT_EQ(got, static_cast<double>(n)) << "job=" << job;
+    counter = 0;
+    for (std::size_t t = 0; t < n; ++t) rt.submit(group, tasks[t]);
+    rt.wait(group);
+    ASSERT_EQ(counter.load(), static_cast<int>(n)) << "job=" << job;
   }
 }
 
@@ -351,16 +242,19 @@ TEST(LockRank, NestedRuntimeWaitHasNoFalsePositive) {
     GTEST_SKIP() << "lock-rank checker compiled out (ODRL_CHECKED off)";
   }
   // The deepest lock nesting the runtime produces: submitted tasks that
-  // internally parallel_for on the same runtime, so Runtime::wait() parks
-  // (kScheduler) while workers cycle ring locks (kRing) and group error
-  // locks (kGroup) concurrently. Under ODRL_CHECKED every acquisition runs
-  // through the checker; any false positive aborts the whole test binary.
+  // submit and wait on an inner group of the same runtime, so
+  // Runtime::wait() parks (kScheduler) while workers cycle ring locks
+  // (kRing) and group error locks (kGroup) concurrently. Under
+  // ODRL_CHECKED every acquisition runs through the checker; any false
+  // positive aborts the whole test binary.
   ot::Runtime rt(4);
   std::atomic<int> counter{0};
+  auto leaf = [&] { counter += 8; };
   auto nested_job = [&] {
-    rt.parallel_for(64, 8, [&](std::size_t begin, std::size_t end) {
-      counter += static_cast<int>(end - begin);
-    });
+    std::vector<decltype(leaf)> leaves(8, leaf);
+    ot::Runtime::Group inner;
+    for (auto& l : leaves) rt.submit(inner, l);
+    rt.wait(inner);
   };
   for (int round = 0; round < 16; ++round) {
     ot::Runtime::Group group;

@@ -2,7 +2,7 @@
 // the MemorySink ring buffer, serialization escaping (JSONL/CSV), the
 // Recorder's sampling policy, and the tier-1 pin that recording never
 // changes what a run computes -- RunResults are bit-identical with
-// telemetry on or off, at any thread count.
+// telemetry on or off, and recorded streams repeat run to run.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -237,25 +237,23 @@ TEST(RecorderConfig, RejectsZeroSampling) {
 
 namespace {
 
-os::SimConfig noisy_sim(std::size_t threads) {
+os::SimConfig noisy_sim() {
   os::SimConfig cfg;
   cfg.sensor_noise_rel = 0.05;
   cfg.seed = 11;
-  cfg.threads = threads;
   return cfg;
 }
 
-/// One OD-RL closed-loop run; optionally recorded, at a given width.
-os::RunResult run_odrl(std::size_t threads, ot::Recorder* recorder) {
+/// One OD-RL closed-loop run, optionally recorded.
+os::RunResult run_odrl(ot::Recorder* recorder) {
   const std::size_t cores = 32;
   const oa::ChipConfig chip = oa::ChipConfig::make(cores, 0.6);
   os::ManyCoreSystem system(
       chip,
       std::make_unique<ow::GeneratedWorkload>(
           ow::GeneratedWorkload::mixed_suite(cores, 5)),
-      noisy_sim(threads));
+      noisy_sim());
   auto controller = os::make_controller("OD-RL", chip);
-  controller->set_threads(threads);
   os::RunConfig cfg;
   cfg.warmup_epochs = 20;
   cfg.epochs = 150;
@@ -291,14 +289,14 @@ void expect_bit_identical(const os::RunResult& a, const os::RunResult& b) {
 }  // namespace
 
 TEST(TelemetryDeterminism, RunResultsIdenticalWithTelemetryOnOrOff) {
-  const os::RunResult off = run_odrl(1, nullptr);
+  const os::RunResult off = run_odrl(nullptr);
 
   ot::RecorderConfig rc;
   rc.per_core = true;
   ot::Recorder rec(rc);
   auto sink = std::make_shared<ot::MemorySink>();
   rec.add_sink(sink);
-  const os::RunResult on = run_odrl(1, &rec);
+  const os::RunResult on = run_odrl(&rec);
 
   expect_bit_identical(off, on);
   // And the recording actually happened.
@@ -309,34 +307,34 @@ TEST(TelemetryDeterminism, RunResultsIdenticalWithTelemetryOnOrOff) {
   EXPECT_EQ(sink->runs_ended(), 1u);
 }
 
-TEST(TelemetryDeterminism, RecordedRunsIdenticalAcrossThreadCounts) {
+TEST(TelemetryDeterminism, RecordedRunsRepeatBitForBit) {
   ot::Recorder rec1;
   auto sink1 = std::make_shared<ot::MemorySink>();
   rec1.add_sink(sink1);
-  const os::RunResult serial = run_odrl(1, &rec1);
+  const os::RunResult first = run_odrl(&rec1);
 
-  ot::Recorder rec8;
-  auto sink8 = std::make_shared<ot::MemorySink>();
-  rec8.add_sink(sink8);
-  const os::RunResult wide = run_odrl(8, &rec8);
+  ot::Recorder rec2;
+  auto sink2 = std::make_shared<ot::MemorySink>();
+  rec2.add_sink(sink2);
+  const os::RunResult second = run_odrl(&rec2);
 
-  expect_bit_identical(serial, wide);
+  expect_bit_identical(first, second);
 
   // The sink streams must match too (deterministic emission order): same
   // epoch records, same reallocation events with the same per-core budgets.
   const auto e1 = sink1->epochs();
-  const auto e8 = sink8->epochs();
-  ASSERT_EQ(e1.size(), e8.size());
+  const auto e2 = sink2->epochs();
+  ASSERT_EQ(e1.size(), e2.size());
   for (std::size_t i = 0; i < e1.size(); ++i) {
-    ASSERT_EQ(e1[i].epoch, e8[i].epoch) << i;
-    ASSERT_EQ(e1[i].true_chip_power_w, e8[i].true_chip_power_w) << i;
+    ASSERT_EQ(e1[i].epoch, e2[i].epoch) << i;
+    ASSERT_EQ(e1[i].true_chip_power_w, e2[i].true_chip_power_w) << i;
   }
   const auto r1 = sink1->reallocs();
-  const auto r8 = sink8->reallocs();
-  ASSERT_EQ(r1.size(), r8.size());
+  const auto r2 = sink2->reallocs();
+  ASSERT_EQ(r1.size(), r2.size());
   for (std::size_t i = 0; i < r1.size(); ++i) {
     const auto& ra = r1[i];
-    const auto& rb = r8[i];
+    const auto& rb = r2[i];
     ASSERT_EQ(ra.epoch, rb.epoch) << i;
     ASSERT_EQ(ra.mu, rb.mu) << i;
     ASSERT_EQ(ra.mean_reward, rb.mean_reward) << i;
@@ -348,7 +346,7 @@ TEST(TelemetryRun, EmitsDecideLatencyHistogramAndRunMetrics) {
   ot::Recorder rec;
   auto sink = std::make_shared<ot::MemorySink>();
   rec.add_sink(sink);
-  (void)run_odrl(1, &rec);
+  (void)run_odrl(&rec);
 
   const ot::MetricsSnapshot& snap = sink->last_metrics();
   bool found_hist = false;

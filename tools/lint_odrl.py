@@ -29,16 +29,17 @@ express:
   raw-loop-reduction
       A scalar accumulator (`double x = 0;` ... `x += ...`) inside a
       *_into body folds in whatever order the surrounding loop takes.
-      Hot-path reductions must fold a materialized column in canonical
-      index order (util::ordered_sum) so the summation tree stays
-      independent of lane width and thread count (DESIGN.md "Vectorized
-      kernels") -- or carry a reasoned allow marker pinning why the fold
-      order is already fixed.
+      Hot-path reductions must fold in a tree fixed by the code alone:
+      a materialized column in canonical index order (util::ordered_sum),
+      or a serial block tree whose shape depends only on the core count,
+      the lane width and the block size (DESIGN.md "Vectorized kernels").
+      A block fold carries a reasoned allow marker naming it as the
+      golden summation order.
 
   raw-thread
       All worker threads belong to the work-stealing runtime
-      (src/task/runtime.hpp): it owns parking, pinning, stealing and the
-      deterministic-reduction contract. New code spawning `std::thread`,
+      (src/task/runtime.hpp): it owns parking, pinning, stealing and
+      exception propagation. New code spawning `std::thread`,
       or launching through `std::async` or `pthread_create` forks that
       ownership and escapes the runtime's counters and shutdown drain --
       the service layer (src/service/) in particular must post sessions
@@ -309,8 +310,8 @@ def check_raw_thread(path: Path, rel: str, text: str,
         findings.append(Finding(
             path, line, "raw-thread",
             f"{what}: worker threads belong to the task runtime "
-            "(task/runtime.hpp) -- submit work through Runtime or "
-            "parallel_for/parallel_reduce instead of spawning threads "
+            "(task/runtime.hpp) -- submit work through Runtime::submit "
+            "instead of spawning threads "
             "(allowlist: " + ", ".join(sorted(RAW_THREAD_ALLOWLIST)) + ")"))
 
 
@@ -439,7 +440,7 @@ def lint_file(path: Path, root: Path, findings: list[Finding]):
                          findings)
     check_unguarded_capability(path.relative_to(root), raw, text, raw_lines,
                                findings)
-    if path.suffix == ".cpp" or rel.endswith(".hpp"):
+    if path.suffix in (".cpp", ".cc", ".hpp"):
         check_heap_in_hot_path(path.relative_to(root), text, raw_lines,
                                findings)
         check_raw_loop_reduction(path.relative_to(root), text, raw_lines,
