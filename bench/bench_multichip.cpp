@@ -1,7 +1,7 @@
 // Multi-chip fleet throughput sweep: chips x cores x workers, measuring
-// aggregate chip-epochs per second on the shared work-stealing runtime
-// plus the runtime's steal/overflow counters, with machine-readable
-// output: BENCH_multichip.json.
+// aggregate chip-epochs per second on the shared task runtime plus the
+// runtime's queue and park counters, with machine-readable output:
+// BENCH_multichip.json.
 //
 // The acceptance property (>= 3x epochs/s scaling from 1 to 8 workers at
 // 8 chips) only has meaning on a machine with >= 8 CPUs, so the JSON
@@ -31,9 +31,7 @@ struct Row {
   std::size_t epochs;  ///< measured epochs per chip
   double wall_s;
   double chip_epochs_per_s;  ///< chips * epochs / wall
-  std::uint64_t steals;
-  std::uint64_t overflows;
-  std::uint64_t tasks;
+  task::RuntimeStats stats;  ///< runtime counters of the fastest round
 };
 
 constexpr int kRounds = 2;  // best-of-2: min wall time
@@ -53,7 +51,7 @@ Row bench_cell(std::size_t chips, std::size_t cores, std::size_t workers) {
   fc.seed = 41;
   fc.keep_traces = false;  // throughput, not traces
 
-  Row row{chips, cores, workers, fc.epochs, 1e300, 0.0, 0, 0, 0};
+  Row row{chips, cores, workers, fc.epochs, 1e300, 0.0, {}};
   for (int round = 0; round < kRounds; ++round) {
     sim::Fleet fleet(fc);
     sim::MultiChipConfig mc;
@@ -61,9 +59,7 @@ Row bench_cell(std::size_t chips, std::size_t cores, std::size_t workers) {
     const sim::MultiChipResult r = sim::run_multichip(fleet.specs(), mc);
     if (r.wall_s < row.wall_s) {
       row.wall_s = r.wall_s;
-      row.steals = r.runtime_stats.steals;
-      row.overflows = r.runtime_stats.overflows;
-      row.tasks = r.runtime_stats.tasks_executed;
+      row.stats = r.runtime_stats;
     }
   }
   row.chip_epochs_per_s =
@@ -89,13 +85,16 @@ int write_json(const std::vector<Row>& rows) {
     std::fprintf(f,
                  "    {\"chips\": %zu, \"cores\": %zu, \"workers\": %zu, "
                  "\"epochs\": %zu, \"wall_s\": %.4f, "
-                 "\"chip_epochs_per_s\": %.1f, \"steals\": %llu, "
-                 "\"overflows\": %llu, \"tasks\": %llu}%s\n",
+                 "\"chip_epochs_per_s\": %.1f, \"overflows\": %llu, "
+                 "\"max_queue_depth\": %llu, \"worker_parks\": %llu, "
+                 "\"wait_parks\": %llu, \"tasks\": %llu}%s\n",
                  r.chips, r.cores, r.workers, r.epochs, r.wall_s,
                  r.chip_epochs_per_s,
-                 static_cast<unsigned long long>(r.steals),
-                 static_cast<unsigned long long>(r.overflows),
-                 static_cast<unsigned long long>(r.tasks),
+                 static_cast<unsigned long long>(r.stats.overflows),
+                 static_cast<unsigned long long>(r.stats.max_queue_depth),
+                 static_cast<unsigned long long>(r.stats.worker_parks),
+                 static_cast<unsigned long long>(r.stats.wait_parks),
+                 static_cast<unsigned long long>(r.stats.tasks_executed),
                  i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
@@ -122,14 +121,17 @@ int main() {
     }
   }
 
-  std::printf("%6s %6s %8s %7s %9s %18s %8s %10s\n", "chips", "cores",
-              "workers", "epochs", "wall_s", "chip_epochs_per_s", "steals",
-              "overflows");
+  std::printf("%6s %6s %8s %7s %9s %18s %10s %6s %13s %11s\n", "chips",
+              "cores", "workers", "epochs", "wall_s", "chip_epochs_per_s",
+              "overflows", "depth", "worker_parks", "wait_parks");
   for (const Row& r : rows) {
-    std::printf("%6zu %6zu %8zu %7zu %9.3f %18.1f %8llu %10llu\n", r.chips,
-                r.cores, r.workers, r.epochs, r.wall_s, r.chip_epochs_per_s,
-                static_cast<unsigned long long>(r.steals),
-                static_cast<unsigned long long>(r.overflows));
+    std::printf("%6zu %6zu %8zu %7zu %9.3f %18.1f %10llu %6llu %13llu %11llu\n",
+                r.chips, r.cores, r.workers, r.epochs, r.wall_s,
+                r.chip_epochs_per_s,
+                static_cast<unsigned long long>(r.stats.overflows),
+                static_cast<unsigned long long>(r.stats.max_queue_depth),
+                static_cast<unsigned long long>(r.stats.worker_parks),
+                static_cast<unsigned long long>(r.stats.wait_parks));
   }
   return write_json(rows);
 }

@@ -19,7 +19,7 @@
 //
 // --chips=N > 1 switches to multi-chip fleet mode: N independent chips
 // (per-chip seed substreams forked from --seed, see sim/multichip.hpp)
-// run concurrently on one shared work-stealing runtime with --workers
+// run concurrently on one shared task runtime with --workers
 // threads (0 = hardware concurrency). Prints a per-chip summary plus the
 // fleet aggregates and runtime counters; every figure is bit-identical
 // for every --workers value. Fleet mode composes with --faults and
@@ -258,11 +258,13 @@ int run_fleet(const util::CliArgs& args, std::size_t chips,
       "energy over budget %.1f J, wall %.3f s\n",
       fr.bips(), fr.mean_power_w, fr.otb_energy_j, fr.wall_s);
   std::printf(
-      "runtime: %llu tasks, %llu steals (%llu attempts), %llu overflows\n",
+      "runtime: %llu tasks, %llu overflows, max queue depth %llu, "
+      "%llu worker parks, %llu wait parks\n",
       static_cast<unsigned long long>(fr.runtime_stats.tasks_executed),
-      static_cast<unsigned long long>(fr.runtime_stats.steals),
-      static_cast<unsigned long long>(fr.runtime_stats.steal_attempts),
-      static_cast<unsigned long long>(fr.runtime_stats.overflows));
+      static_cast<unsigned long long>(fr.runtime_stats.overflows),
+      static_cast<unsigned long long>(fr.runtime_stats.max_queue_depth),
+      static_cast<unsigned long long>(fr.runtime_stats.worker_parks),
+      static_cast<unsigned long long>(fr.runtime_stats.wait_parks));
   return 0;
 }
 

@@ -107,9 +107,7 @@ bool Server::Connection::try_take_reply(std::string& out) {
 
 Server::Server(ServerConfig config) : config_(std::move(config)) {
   config_.validate();
-  task::RuntimeConfig rc;
-  rc.workers = config_.workers;
-  runtime_ = std::make_unique<task::Runtime>(rc);
+  runtime_ = std::make_unique<task::Runtime>(config_.workers);
 }
 
 Server::~Server() {

@@ -3,7 +3,7 @@
 // through the registry, stepped one observation batch at a time over the
 // wire protocol (service/wire.hpp).
 //
-// Execution model (actor-style, on the PR 8 task runtime):
+// Execution model (actor-style, on the task runtime):
 //
 //   * A Connection is a duplex pair of FIFO queues (inbox of request
 //     payloads, outbox of reply payloads). post() enqueues a request and
@@ -32,7 +32,7 @@
 // are deliberately left fatal so the fuzzer surfaces them.
 //
 // Lock order (util/lock_rank.hpp): kServiceTable (32) -> kServiceSession
-// (34) -> kServiceQueue (36) -> runtime internals (40+). Registry and
+// (34) -> kServiceQueue (36) -> runtime internals (50+). Registry and
 // recorder locks rank *below* the service ranks, so controllers are
 // built and counters exported with no service lock held.
 #pragma once

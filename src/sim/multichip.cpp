@@ -75,15 +75,24 @@ void MultiChipConfig::validate(std::span<const ChipSpec> chips) const {
           at + ": per-chip snapshot fields must be unset when the fleet "
                "snapshot frame is used");
     }
-    // A recorder's record stream is serial per run; concurrent chips must
-    // not share one (their epochs would interleave nondeterministically).
-    if (spec.config.recorder != nullptr) {
-      for (std::size_t j = i + 1; j < chips.size(); ++j) {
-        if (chips[j].config.recorder == spec.config.recorder) {
-          throw std::invalid_argument(
-              at + ": recorder shared with chip " + std::to_string(j) +
-              " (give each chip its own; their records would interleave)");
-        }
+    // Concurrent chips must own their state: two chips stepping one
+    // system or one controller would race, and one recorder's record
+    // stream would interleave their epochs nondeterministically.
+    for (std::size_t j = i + 1; j < chips.size(); ++j) {
+      const ChipSpec& other = chips[j];
+      const char* shared = nullptr;
+      if (other.system == spec.system) {
+        shared = "system";
+      } else if (other.controller == spec.controller) {
+        shared = "controller";
+      } else if (spec.config.recorder != nullptr &&
+                 other.config.recorder == spec.config.recorder) {
+        shared = "recorder";
+      }
+      if (shared != nullptr) {
+        throw std::invalid_argument(at + ": " + shared +
+                                    " shared with chip " + std::to_string(j) +
+                                    " (give each chip its own)");
       }
     }
   }
@@ -136,10 +145,7 @@ MultiChipResult run_multichip(std::span<ChipSpec> chips,
 
   std::shared_ptr<task::Runtime> runtime = config.runtime;
   if (runtime == nullptr) {
-    task::RuntimeConfig rc;
-    rc.workers = config.workers;
-    rc.pin_workers = config.pin_workers;
-    runtime = std::make_shared<task::Runtime>(rc);
+    runtime = std::make_shared<task::Runtime>(config.workers);
   }
   const task::RuntimeStats stats0 = runtime->stats();
 
@@ -270,9 +276,6 @@ MultiChipResult run_multichip(std::span<ChipSpec> chips,
   const task::RuntimeStats stats1 = runtime->stats();
   result.runtime_stats.tasks_executed =
       stats1.tasks_executed - stats0.tasks_executed;
-  result.runtime_stats.steals = stats1.steals - stats0.steals;
-  result.runtime_stats.steal_attempts =
-      stats1.steal_attempts - stats0.steal_attempts;
   result.runtime_stats.overflows = stats1.overflows - stats0.overflows;
   result.runtime_stats.max_queue_depth = stats1.max_queue_depth;
   result.runtime_stats.worker_parks =

@@ -9,7 +9,7 @@
 // (run_closed_loop touches only that chip's state, in a fixed order), and
 // results/aggregates are assembled in chip-index order on the calling
 // thread after all chips complete. A fleet run is therefore bit-identical
-// across worker counts, pinning, and scheduling jitter.
+// across worker counts and scheduling jitter.
 //
 // Snapshot frame (see DESIGN.md "Task runtime & multi-chip fleets"):
 // a multi-chip snapshot is one versioned blob with an MCHD header section
@@ -59,9 +59,8 @@ struct MultiChipConfig {
   /// Worker threads of the shared runtime (0 = hardware concurrency).
   /// Ignored when `runtime` is provided.
   std::size_t workers = 1;
-  bool pin_workers = false;
   /// Optional externally owned runtime shared with other fleets; null =
-  /// run_multichip builds a private one from workers/pin_workers.
+  /// run_multichip builds a private one of width `workers`.
   std::shared_ptr<task::Runtime> runtime;
 
   /// Fleet snapshot capture: when `snapshot_out` is non-null, every chip
@@ -97,8 +96,8 @@ std::string sanitize_session_tag(const std::string& tag);
 struct MultiChipResult {
   /// Per-chip results, chip-index order (chips[i] ran specs[i]).
   std::vector<RunResult> chips;
-  /// Fleet-wide runtime counter deltas over this run (steals, overflows,
-  /// parks, ...). Observational; approximate if `runtime` was shared with
+  /// Fleet-wide runtime counter deltas over this run (overflows, parks,
+  /// ...). Observational; approximate if `runtime` was shared with
   /// concurrent work outside this fleet.
   task::RuntimeStats runtime_stats;
   double wall_s = 0.0;

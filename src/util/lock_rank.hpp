@@ -28,22 +28,20 @@
 //   kServiceSession 34  one service session's state (controller, watchdog)
 //   kServiceQueue   36  service transport queues (inbox / reply FIFOs;
 //                       a thread holds at most one queue lock at a time)
-//   kRing           40  task::Runtime::TaskRing::mutex_ (deques + channels;
-//                       a thread holds at most one ring lock at a time)
 //   kGroup          50  task::Runtime::Group::mutex_ (first-exception slot)
-//   kScheduler      60  task::Runtime::sched_mutex_ (park/wake epoch barrier)
+//   kScheduler      60  task::Runtime::sched_mutex_ (the task queue and its
+//                       park/wake state)
 //   kLeaf          100  standalone flags (SIMD force-scalar hook, default)
 //
-// The three service ranks sit below kRing because request handlers and
-// transport pumps submit tasks to the runtime (ring + scheduler locks)
-// while a service lock is held; they sit above kRecorder/kRegistry so
+// The three service ranks sit below the runtime's ranks because request
+// handlers and transport pumps submit tasks to the runtime (scheduler
+// lock) while a service lock is held; they sit above kRecorder/kRegistry so
 // holding one across a recorder export or a registry make() would abort
 // -- the server builds controllers and exports counters with no service
 // lock held, by construction (see src/service/server.cpp).
 //
 // Two locks of the SAME rank never nest either (the relation is strict):
-// per-ring mutexes share kRing precisely because the runtime's discipline
-// is "release the current ring before touching another".
+// a thread holds at most one service queue lock at a time.
 #pragma once
 
 #include <cstdint>
@@ -59,7 +57,6 @@ enum class LockRank : std::uint32_t {
   kServiceTable = 32,
   kServiceSession = 34,
   kServiceQueue = 36,
-  kRing = 40,
   kGroup = 50,
   kScheduler = 60,
   kLeaf = 100,

@@ -397,6 +397,26 @@ TEST(MultiChip, ValidationRejectsBadSpecs) {
     EXPECT_THROW((void)os::run_multichip(f.specs(), {}),
                  std::invalid_argument);
   }
+  // One system or one controller shared by two chips: concurrent
+  // whole-run tasks would step the same object. Refused even at width 1,
+  // naming both chips.
+  for (const bool share_system : {true, false}) {
+    os::Fleet f(small_fleet(3, 8));
+    if (share_system) {
+      f.specs()[2].system = f.specs()[0].system;
+    } else {
+      f.specs()[2].controller = f.specs()[0].controller;
+    }
+    try {
+      (void)os::run_multichip(f.specs(), {});
+      ADD_FAILURE() << "shared " << (share_system ? "system" : "controller")
+                    << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("chip 0"), std::string::npos) << what;
+      EXPECT_NE(what.find("chip 2"), std::string::npos) << what;
+    }
+  }
   EXPECT_THROW((void)os::chip_section_tag(100), std::out_of_range);
   EXPECT_EQ(os::chip_section_tag(0), osnap::section_tag("CH00"));
   EXPECT_EQ(os::chip_section_tag(31), osnap::section_tag("CH31"));

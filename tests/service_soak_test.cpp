@@ -3,7 +3,7 @@
 // the determinism contract under real contention: every session's decision
 // digest must be bit-identical across worker counts, and the server's
 // bookkeeping must balance exactly. Runs under the `tsan` label -- the
-// client threads, the drain tasks on the work-stealing runtime, and the
+// client threads, the drain tasks on the shared task runtime, and the
 // session/table locks are precisely the paths a data race would corrupt.
 #include <gtest/gtest.h>
 

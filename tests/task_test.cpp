@@ -1,8 +1,8 @@
-// Work-stealing task runtime tests (src/task/runtime.hpp): submission,
-// stealing, overflow, shutdown-with-pending-work and exception
-// propagation. The steal-heavy cases are the TSan stress surface for the
-// runtime (tsan label) that the multi-chip fleet and the service's
-// connection drains are built on.
+// Task runtime tests (src/task/runtime.hpp): submission, the queue bound
+// and its inline overflow, helping waits, shutdown-with-pending-work and
+// exception propagation. The rendezvous cases are the TSan stress surface
+// for the runtime (tsan label) that the multi-chip fleet and the
+// service's connection drains are built on.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -68,60 +68,81 @@ TEST(TaskRuntime, WaitOnEmptyGroupReturnsImmediately) {
 }
 
 TEST(TaskRuntime, OversubscribedSubmissionOverflowsInlineWithoutLoss) {
-  // Rings of capacity 1 and a width-2 runtime: most of a 500-task burst
-  // cannot fit and must run inline on the submitter (counted as
-  // overflows), but every task runs exactly once.
-  ot::RuntimeConfig cfg;
-  cfg.workers = 2;
-  cfg.deque_capacity = 1;
-  cfg.channel_capacity = 1;
-  ot::Runtime rt(cfg);
+  // The lone worker of a width-2 runtime blocks on a latch, so nothing
+  // drains the queue: the first kQueueCapacity submissions fill it
+  // exactly and each of the k after them runs inline on the submitter,
+  // counted as one overflow. Every task still runs exactly once.
+  constexpr std::size_t kExtra = 7;
+  ot::Runtime rt(2);
+  std::atomic<bool> worker_blocked{false};
+  std::latch release(1);
+  auto blocker = [&] {
+    worker_blocked = true;
+    release.wait();
+  };
+  ot::Runtime::Group blocked;
+  rt.submit(blocked, blocker);
+  while (!worker_blocked) std::this_thread::yield();
 
   std::atomic<int> counter{0};
   auto bump = [&] { counter++; };
-  std::vector<decltype(bump)> tasks(500, bump);
+  std::vector<decltype(bump)> tasks(ot::Runtime::kQueueCapacity + kExtra,
+                                    bump);
   ot::Runtime::Group group;
   for (auto& t : tasks) rt.submit(group, t);
-  rt.wait(group);
+  EXPECT_EQ(rt.stats().overflows, kExtra);
+  EXPECT_EQ(rt.stats().max_queue_depth, ot::Runtime::kQueueCapacity);
+  EXPECT_EQ(counter.load(), static_cast<int>(kExtra));  // inline only
 
-  EXPECT_EQ(counter.load(), 500);
-  EXPECT_GT(rt.stats().overflows, 0u);
-  EXPECT_EQ(rt.stats().tasks_executed, 500u);
+  release.count_down();
+  rt.wait(group);
+  rt.wait(blocked);
+  EXPECT_EQ(counter.load(), static_cast<int>(tasks.size()));
+  EXPECT_EQ(rt.stats().tasks_executed, tasks.size() + 1);
 }
 
-TEST(TaskRuntime, StealHeavyStressDistributesWork) {
-  // Deterministic steal forcing. The outer task is claimed by a spawned
-  // worker (the main thread submits and then does not help until the
-  // outer task is already running). On that worker, three inner tasks go
-  // to its *own deque*; it then helps its inner group and blocks inside
-  // the first one on a 3-party latch. The other two tasks can only reach
-  // the latch if two *other* workers steal them -- so reaching wait()'s
-  // return proves two steals, and the counters must agree.
-  ot::Runtime rt(4);
-  std::atomic<bool> outer_started{false};
-  std::latch rendezvous(3);
+TEST(TaskRuntime, RendezvousRunsWidthTasksAtOnce) {
+  // W tasks submitted from the caller each block on a W-party latch, so
+  // none can finish before all W run at once: wait() returning proves the
+  // W-1 workers and the helping caller each claimed one.
+  constexpr std::size_t kWidth = 4;
+  ot::Runtime rt(kWidth);
+  std::latch rendezvous(kWidth);
   std::atomic<int> ran{0};
-
-  auto blocker = [&] {
+  auto meet = [&] {
     ran++;
     rendezvous.arrive_and_wait();
   };
-  std::vector<decltype(blocker)> blockers(3, blocker);
+  std::vector<decltype(meet)> tasks(kWidth, meet);
+  ot::Runtime::Group group;
+  for (auto& t : tasks) rt.submit(group, t);
+  rt.wait(group);
+  EXPECT_EQ(ran.load(), static_cast<int>(kWidth));
+}
 
+TEST(TaskRuntime, NestedRendezvousHelpsInsideATask) {
+  // A task submits W-1 inner latch tasks and waits on them. Its wait()
+  // claims one inner task itself; a thread waiting on the outer group
+  // never adopts an inner one, so the remaining W-2 need other threads.
+  // Returning proves nested submit+wait neither deadlocks nor serializes.
+  constexpr std::size_t kWidth = 4;
+  ot::Runtime rt(kWidth);
+  std::latch rendezvous(kWidth - 1);
+  std::atomic<int> ran{0};
+  auto meet = [&] {
+    ran++;
+    rendezvous.arrive_and_wait();
+  };
+  std::vector<decltype(meet)> inner_tasks(kWidth - 1, meet);
   auto outer = [&] {
-    outer_started = true;
     ot::Runtime::Group inner;
-    for (auto& b : blockers) rt.submit(inner, b);
+    for (auto& t : inner_tasks) rt.submit(inner, t);
     rt.wait(inner);
   };
-
   ot::Runtime::Group group;
   rt.submit(group, outer);
-  while (!outer_started) std::this_thread::yield();
   rt.wait(group);
-
-  EXPECT_EQ(ran.load(), 3);
-  EXPECT_GE(rt.stats().steals, 2u);
+  EXPECT_EQ(ran.load(), static_cast<int>(kWidth - 1));
 }
 
 TEST(TaskRuntime, GroupExceptionLeavesRuntimeUsable) {
@@ -155,7 +176,7 @@ TEST(TaskRuntime, SubmittedTaskExceptionReachesWaiter) {
 
 TEST(TaskRuntime, ShutdownDrainsPendingTasks) {
   // Width 1 spawns no workers, so unwaited external submissions sit in
-  // the channel until the destructor's drain. Nothing may be lost.
+  // the queue until the destructor's drain. Nothing may be lost.
   std::atomic<int> counter{0};
   auto bump = [&] { counter++; };
   std::vector<decltype(bump)> tasks(32, bump);
@@ -168,20 +189,6 @@ TEST(TaskRuntime, ShutdownDrainsPendingTasks) {
   EXPECT_EQ(counter.load(), 32);
 }
 
-TEST(TaskRuntime, PinnedWorkersRunNormally) {
-  ot::RuntimeConfig cfg;
-  cfg.workers = 2;
-  cfg.pin_workers = true;  // best-effort; must never fail the run
-  ot::Runtime rt(cfg);
-  std::atomic<int> counter{0};
-  auto bump = [&] { counter++; };
-  std::vector<decltype(bump)> tasks(100, bump);
-  ot::Runtime::Group group;
-  for (auto& t : tasks) rt.submit(group, t);
-  rt.wait(group);
-  EXPECT_EQ(counter.load(), 100);
-}
-
 TEST(TaskRuntime, StatsAccumulateAndReset) {
   ot::Runtime rt(2);
   auto noop = [] {};
@@ -192,7 +199,6 @@ TEST(TaskRuntime, StatsAccumulateAndReset) {
   EXPECT_EQ(rt.stats().tasks_executed, 10u);
   rt.reset_stats();
   EXPECT_EQ(rt.stats().tasks_executed, 0u);
-  EXPECT_EQ(rt.stats().steals, 0u);
   EXPECT_EQ(rt.stats().overflows, 0u);
 }
 
@@ -228,11 +234,11 @@ TEST(LockRank, SeededInversionAborts) {
   // acquisition sites. Runs in a forked child; the parent matches stderr.
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   odrl::util::Mutex high(odrl::util::LockRank::kScheduler, "test-high");
-  odrl::util::Mutex low(odrl::util::LockRank::kRing, "test-low");
+  odrl::util::Mutex low(odrl::util::LockRank::kGroup, "test-low");
   EXPECT_DEATH(
       {
         odrl::util::MutexLock outer(high);
-        odrl::util::MutexLock inner(low);  // kRing(40) under kScheduler(60)
+        odrl::util::MutexLock inner(low);  // kGroup(50) under kScheduler(60)
       },
       "lock-rank violation");
 }
@@ -243,8 +249,8 @@ TEST(LockRank, NestedRuntimeWaitHasNoFalsePositive) {
   }
   // The deepest lock nesting the runtime produces: submitted tasks that
   // submit and wait on an inner group of the same runtime, so
-  // Runtime::wait() parks (kScheduler) while workers cycle ring locks
-  // (kRing) and group error locks (kGroup) concurrently. Under
+  // Runtime::wait() parks (kScheduler) while workers cycle the queue lock
+  // (kScheduler) and group error locks (kGroup) concurrently. Under
   // ODRL_CHECKED every acquisition runs through the checker; any false
   // positive aborts the whole test binary.
   ot::Runtime rt(4);

@@ -19,7 +19,7 @@ by CI:
                          regressing relative to the rest fails.
   BENCH_multichip.json -- bench/bench_multichip: per (chips, cores, workers)
                          fleet throughput (chip-epochs/s) on the shared
-                         work-stealing runtime, median-normalized like e5.
+                         task runtime, median-normalized like e5.
                          The JSON records the machine's `cpus`; the worker
                          scaling floor (>= 3x from 1 to 8 workers at 8
                          chips) is enforced only when both the committed

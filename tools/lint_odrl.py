@@ -37,8 +37,8 @@ express:
       golden summation order.
 
   raw-thread
-      All worker threads belong to the work-stealing runtime
-      (src/task/runtime.hpp): it owns parking, pinning, stealing and
+      All worker threads belong to the task runtime
+      (src/task/runtime.hpp): it owns the shared queue, parking and
       exception propagation. New code spawning `std::thread`,
       or launching through `std::async` or `pthread_create` forks that
       ownership and escapes the runtime's counters and shutdown drain --
@@ -310,8 +310,9 @@ def check_raw_thread(path: Path, rel: str, text: str,
         findings.append(Finding(
             path, line, "raw-thread",
             f"{what}: worker threads belong to the task runtime "
-            "(task/runtime.hpp) -- submit work through Runtime::submit "
-            "instead of spawning threads "
+            "(task/runtime.hpp), whose one queue, parking and shutdown "
+            "drain they would bypass -- submit work through "
+            "Runtime::submit instead of spawning threads "
             "(allowlist: " + ", ".join(sorted(RAW_THREAD_ALLOWLIST)) + ")"))
 
 
